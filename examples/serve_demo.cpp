@@ -87,8 +87,8 @@ int main(int argc, char** argv) {
   // Stand-alone characterization of a completed job (counters known).
   call("POST", "/characterize", job_to_json(history[200]).dump());
 
-  // Server-side view of everything this demo just did: request counters
-  // and per-route latency summaries from the connection executor.
+  // Server-side view of everything this demo just did: the metrics
+  // registry's request counters and per-route latency histograms.
   call("GET", "/metrics", "");
 
   api.stop();

@@ -41,8 +41,6 @@ Json FrameworkConfig::to_json() const {
   model_json.set("knn_index_mode", knn_index_mode_name(knn.index.mode));
   model_json.set("knn_index_min_rows", static_cast<std::int64_t>(knn.index.min_rows));
   model_json.set("knn_index_leaf_size", static_cast<std::int64_t>(knn.index.leaf_size));
-  model_json.set("knn_index_ivf_clusters", static_cast<std::int64_t>(knn.index.ivf_clusters));
-  model_json.set("knn_index_ivf_nprobe", static_cast<std::int64_t>(knn.index.ivf_nprobe));
   model_json.set("rf_trees", static_cast<std::int64_t>(forest.n_trees));
   model_json.set("rf_max_bins", static_cast<std::int64_t>(forest.max_bins));
   model_json.set("rf_max_depth", static_cast<std::int64_t>(forest.tree.max_depth));
@@ -141,7 +139,7 @@ std::optional<FrameworkConfig> FrameworkConfig::from_json(const Json& json,
       const auto mode = parse_knn_index_mode(m["knn_index_mode"].as_string());
       if (!mode.has_value()) {
         return fail("unknown knn_index_mode '" + m["knn_index_mode"].as_string() +
-                    "' (expected none/tree/ivf)");
+                    "' (expected none/tree)");
       }
       config.knn.index.mode = *mode;
     }
@@ -149,13 +147,7 @@ std::optional<FrameworkConfig> FrameworkConfig::from_json(const Json& json,
         m["knn_index_min_rows"].as_int(static_cast<std::int64_t>(config.knn.index.min_rows)));
     config.knn.index.leaf_size = static_cast<std::size_t>(
         m["knn_index_leaf_size"].as_int(static_cast<std::int64_t>(config.knn.index.leaf_size)));
-    config.knn.index.ivf_clusters = static_cast<std::size_t>(m["knn_index_ivf_clusters"].as_int(
-        static_cast<std::int64_t>(config.knn.index.ivf_clusters)));
-    config.knn.index.ivf_nprobe = static_cast<std::size_t>(m["knn_index_ivf_nprobe"].as_int(
-        static_cast<std::int64_t>(config.knn.index.ivf_nprobe)));
-    if (config.knn.index.leaf_size == 0 || config.knn.index.ivf_nprobe == 0) {
-      return fail("knn_index_leaf_size/knn_index_ivf_nprobe must be positive");
-    }
+    if (config.knn.index.leaf_size == 0) return fail("knn_index_leaf_size must be positive");
     config.forest.n_trees = static_cast<std::size_t>(
         m["rf_trees"].as_int(static_cast<std::int64_t>(config.forest.n_trees)));
     config.forest.max_bins = static_cast<std::size_t>(

@@ -73,10 +73,11 @@ void FeatureBinner::save(std::ostream& out) const {
 bool FeatureBinner::load(std::istream& in) {
   std::uint64_t n = 0;
   if (!io::read_pod(in, n) || n > (1ULL << 20)) return false;
-  edges_.assign(n, {});
-  for (auto& edges : edges_) {
-    if (!io::read_vec(in, edges)) return false;
+  std::vector<std::vector<float>> edges(n);
+  for (auto& feature_edges : edges) {
+    if (!io::read_vec(in, feature_edges, io::kMaxVecElems)) return false;
   }
+  edges_ = std::move(edges);
   return true;
 }
 
@@ -305,12 +306,37 @@ void DecisionTree::save(std::ostream& out) const {
   io::write_vec(out, proba_);
 }
 
-bool DecisionTree::load(std::istream& in) {
+bool DecisionTree::load(std::istream& in, std::size_t n_features) {
   std::uint64_t n_classes = 0;
   if (!io::read_pod(in, n_classes) || n_classes == 0 || n_classes > 4096) return false;
+  std::vector<Node> nodes;
+  std::vector<float> proba;
+  if (!io::read_vec(in, nodes, io::kMaxVecElems) ||
+      !io::read_vec(in, proba, io::kMaxVecElems) || nodes.empty()) {
+    return false;
+  }
+  // Both traversals index nodes, feature columns and the leaf table
+  // straight from these fields, so a crafted stream must not get past
+  // here with any of them out of range.
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    const Node& node = nodes[i];
+    if (node.left < 0) {
+      if (node.proba_offset + n_classes > proba.size()) return false;
+      continue;
+    }
+    // Children follow their parent (the builder appends them later),
+    // which also guarantees traversal terminates.
+    const auto left = static_cast<std::size_t>(node.left);
+    const auto right = static_cast<std::size_t>(node.right);
+    if (node.right < 0 || left <= i || right <= i || left >= nodes.size() ||
+        right >= nodes.size() || node.feature >= n_features) {
+      return false;
+    }
+  }
   n_classes_ = static_cast<std::size_t>(n_classes);
-  if (!io::read_vec(in, nodes_) || !io::read_vec(in, proba_)) return false;
-  return !nodes_.empty();
+  nodes_ = std::move(nodes);
+  proba_ = std::move(proba);
+  return true;
 }
 
 }  // namespace mcb

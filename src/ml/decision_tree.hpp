@@ -84,7 +84,9 @@ class DecisionTree {
   Label predict_binned(const std::uint8_t* codes_row) const;
 
   void save(std::ostream& out) const;
-  bool load(std::istream& in);
+  /// Rejects (leaving the tree untouched) any stream whose nodes do not
+  /// form a tree a sample of `n_features` columns can be walked through.
+  bool load(std::istream& in, std::size_t n_features);
 
   struct Node {
     std::int32_t left = -1;     ///< -1 marks a leaf

@@ -3,7 +3,6 @@
 #include <limits>
 #include <stdexcept>
 
-#include "ml/serialize.hpp"
 #include "util/annotations.hpp"
 
 namespace mcb {
@@ -90,75 +89,6 @@ MCB_HOT_PATH void FlatForest::accumulate_proba_block(FeatureView x, std::size_t 
       for (std::size_t c = 0; c < n_classes_; ++c) out[c] += leaf[c];
     }
   }
-}
-
-MCB_HOT_PATH void FlatForest::accumulate_proba(std::span<const float> row,
-                                               double* probs) const {
-  const FeatureView view{row.data(), 1, row.size()};
-  accumulate_proba_block(view, 0, 1, probs);
-}
-
-std::size_t FlatForest::min_row_width() const noexcept {
-  std::size_t width = 0;
-  for (std::size_t i = 0; i < left_.size(); ++i) {
-    if (left_[i] >= 0) {  // leaves never consult their feature slot
-      width = std::max(width, static_cast<std::size_t>(feature_[i]) + 1);
-    }
-  }
-  return width;
-}
-
-void FlatForest::save(std::ostream& out) const {
-  io::write_header(out, io::kKindFlatForest);
-  io::write_pod(out, static_cast<std::uint64_t>(n_classes_));
-  io::write_vec(out, roots_);
-  io::write_vec(out, feature_);
-  io::write_vec(out, threshold_);
-  io::write_vec(out, left_);
-  io::write_vec(out, right_);
-  io::write_vec(out, proba_);
-}
-
-bool FlatForest::load(std::istream& in) {
-  std::uint32_t kind = 0;
-  if (!io::read_header(in, kind) || kind != io::kKindFlatForest) return false;
-  std::uint64_t n_classes = 0;
-  if (!io::read_pod(in, n_classes) || n_classes == 0 || n_classes > 4096) return false;
-  if (!io::read_vec(in, roots_) || !io::read_vec(in, feature_) ||
-      !io::read_vec(in, threshold_) || !io::read_vec(in, left_) ||
-      !io::read_vec(in, right_) || !io::read_vec(in, proba_)) {
-    return false;
-  }
-  n_classes_ = static_cast<std::size_t>(n_classes);
-  // Structural validation: consistent array lengths, in-range children
-  // and leaf offsets, so a corrupt stream cannot cause out-of-bounds
-  // traversal later.
-  const std::size_t n = left_.size();
-  if (feature_.size() != n || threshold_.size() != n || right_.size() != n) return false;
-  if (proba_.size() % n_classes_ != 0) return false;
-  for (const std::uint32_t root : roots_) {
-    if (root >= n) return false;
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    if (left_[i] < 0) {
-      const auto offset = static_cast<std::size_t>(-left_[i] - 1);
-      if (offset + n_classes_ > proba_.size()) return false;
-    } else {
-      // Children always follow their parent (the builder appends them
-      // later), which also guarantees traversal terminates.
-      if (static_cast<std::size_t>(left_[i]) >= n || right_[i] < 0 ||
-          static_cast<std::size_t>(right_[i]) >= n ||
-          left_[i] <= static_cast<std::int32_t>(i) ||
-          right_[i] <= static_cast<std::int32_t>(i)) {
-        return false;
-      }
-      // Internal nodes index into the caller's feature row; an
-      // unbounded column from a crafted file is an out-of-bounds read
-      // in accumulate_proba_block no caller can defend against.
-      if (feature_[i] >= (1U << 20)) return false;
-    }
-  }
-  return !roots_.empty();
 }
 
 }  // namespace mcb

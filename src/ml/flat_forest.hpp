@@ -30,7 +30,6 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <span>
 #include <vector>
 
@@ -52,25 +51,12 @@ class FlatForest {
   std::size_t node_count() const noexcept { return left_.size(); }
   std::size_t n_classes() const noexcept { return n_classes_; }
 
-  /// One more than the widest feature column any internal node
-  /// consults: rows passed to accumulate_proba must be at least this
-  /// wide. Callers that load foreign model files (rather than building
-  /// from their own trees) must size queries by this, not assume the
-  /// encoder width.
-  std::size_t min_row_width() const noexcept;
-
   /// Accumulate per-tree leaf distributions for a block of raw feature
   /// rows into probs[row * n_classes() + c] (+=; callers zero first and
   /// divide by tree_count() for the forest average). `x` must have at
   /// least as many columns as any feature index seen in training.
   void accumulate_proba_block(FeatureView x, std::size_t row_begin, std::size_t row_end,
                               double* probs) const;
-
-  /// Single raw-feature row convenience (probs has n_classes() slots).
-  void accumulate_proba(std::span<const float> row, double* probs) const;
-
-  void save(std::ostream& out) const;
-  bool load(std::istream& in);
 
  private:
   std::vector<std::uint32_t> roots_;     ///< node index of each tree's root

@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <stdexcept>
 
-#include "ml/knn_kernels.hpp"
 #include "ml/serialize.hpp"
 #include "ml/top_k.hpp"
 #include "util/annotations.hpp"
@@ -31,99 +29,31 @@ KnnClassifier::KnnClassifier(KnnConfig config) : config_(config) {
 void KnnClassifier::fit(FeatureView x, std::span<const Label> y) {
   if (x.rows != y.size()) throw std::invalid_argument("knn: rows/labels mismatch");
   if (x.rows == 0) throw std::invalid_argument("knn: empty training set");
-  dim_ = x.cols;
-  train_data_.assign(x.data, x.data + x.rows * x.cols);
-  labels_.assign(y.begin(), y.end());
-  n_classes_ = 0;
-  for (const Label l : labels_) {
+  std::size_t n_classes = 0;
+  for (const Label l : y) {
     if (l < 0) throw std::invalid_argument("knn: negative label");
-    n_classes_ = std::max(n_classes_, static_cast<std::size_t>(l) + 1);
+    n_classes = std::max(n_classes, static_cast<std::size_t>(l) + 1);
   }
-  train_norms_.resize(x.rows);
-  for (std::size_t i = 0; i < x.rows; ++i) {
-    train_norms_[i] = row_norm_sq(train_data_.data() + i * dim_, dim_);
-  }
-  rebuild_index();
+  n_classes_ = n_classes;
+  labels_.assign(y.begin(), y.end());
+  build_index(x);
 }
 
-void KnnClassifier::rebuild_index() {
-  index_.clear();
-  // The index only accelerates the p = 2 dot-product algebra, and its
-  // traversal overhead beats the scan only past min_rows. build() can
-  // also refuse (non-finite training data); every predict then simply
-  // takes the scan, so the index is strictly opportunistic.
-  if (config_.index.mode == KnnIndexMode::kNone) return;
-  if (config_.minkowski_p != 2.0) return;
-  if (labels_.size() < config_.index.min_rows) return;
-  index_.build(FeatureView{train_data_.data(), labels_.size(), dim_}, config_.index);
+void KnnClassifier::build_index(FeatureView x) {
+  // The tree only accelerates the p = 2 dot-product algebra; any other
+  // p ranks by the Minkowski scan over the same stored rows.
+  KnnIndexConfig index = config_.index;
+  if (config_.minkowski_p != 2.0) index.mode = KnnIndexMode::kNone;
+  index_.build(x, index);
 }
 
-MCB_HOT_PATH void KnnClassifier::top_k_scan(std::span<const float> query,
-                                            std::vector<std::size_t>& idx,
-                                            std::vector<double>& dist) const {
-  const std::size_t n = labels_.size();
-  TopK top(idx, dist, std::min(config_.k, n));
-
-  if (config_.minkowski_p == 2.0) {
-    // Squared-distance scan via dot products (monotone in the true
-    // distance, so ranking is unaffected; query norm is constant across
-    // rows and omitted).
-    float dots[kScanTile];
-    for (std::size_t base = 0; base < n; base += kScanTile) {
-      const std::size_t rows = std::min(kScanTile, n - base);
-      tile_dots(train_data_.data() + base * dim_, rows, dim_, query.data(), dots);
-      for (std::size_t i = 0; i < rows; ++i) {
-        const double d =
-            static_cast<double>(train_norms_[base + i]) - 2.0 * static_cast<double>(dots[i]);
-        top.consider(base + i, d);
-      }
-    }
+MCB_HOT_PATH void KnnClassifier::top_k(std::span<const float> query, bool scalar,
+                                       std::vector<std::size_t>& idx,
+                                       std::vector<double>& dist) const {
+  if (scalar) {
+    index_.search_scalar(query, config_.k, config_.minkowski_p, idx, dist);
   } else {
-    const double p = config_.minkowski_p;
-    for (std::size_t i = 0; i < n; ++i) {
-      const float* row = train_data_.data() + i * dim_;
-      double sum = 0.0;
-      for (std::size_t j = 0; j < dim_; ++j) {
-        sum += std::pow(std::abs(static_cast<double>(row[j]) - query[j]), p);
-      }
-      top.consider(i, sum);  // comparing sums ~ comparing p-th roots
-    }
-  }
-}
-
-MCB_HOT_PATH void KnnClassifier::top_k_fast(std::span<const float> query,
-                                            std::vector<std::size_t>& idx,
-                                            std::vector<double>& dist) const {
-  // Index first; any query it cannot serve exactly (not ready, or
-  // non-finite features outside the pruning algebra) takes the scan.
-  if (index_.ready() && index_.search(query, config_.k, idx, dist)) return;
-  top_k_scan(query, idx, dist);
-}
-
-MCB_HOT_PATH void KnnClassifier::top_k_scan_scalar(std::span<const float> query,
-                                                   std::vector<std::size_t>& idx,
-                                                   std::vector<double>& dist) const {
-  const std::size_t n = labels_.size();
-  TopK top(idx, dist, std::min(config_.k, n));
-
-  if (config_.minkowski_p == 2.0) {
-    for (std::size_t i = 0; i < n; ++i) {
-      const float* row = train_data_.data() + i * dim_;
-      float dot = 0.0F;
-      for (std::size_t j = 0; j < dim_; ++j) dot += row[j] * query[j];
-      const double d = static_cast<double>(train_norms_[i]) - 2.0 * static_cast<double>(dot);
-      top.consider(i, d);
-    }
-  } else {
-    const double p = config_.minkowski_p;
-    for (std::size_t i = 0; i < n; ++i) {
-      const float* row = train_data_.data() + i * dim_;
-      double sum = 0.0;
-      for (std::size_t j = 0; j < dim_; ++j) {
-        sum += std::pow(std::abs(static_cast<double>(row[j]) - query[j]), p);
-      }
-      top.consider(i, sum);
-    }
+    index_.search(query, config_.k, config_.minkowski_p, idx, dist);
   }
 }
 
@@ -147,63 +77,58 @@ MCB_HOT_PATH Label KnnClassifier::predict_one(std::span<const float> query,
                                               bool scalar) const {
   thread_local std::vector<std::size_t> idx;
   thread_local std::vector<double> dist;
-  if (scalar) {
-    top_k_scan_scalar(query, idx, dist);
-  } else {
-    top_k_fast(query, idx, dist);
-  }
+  top_k(query, scalar, idx, dist);
   return vote(idx);
 }
 
-std::vector<Label> KnnClassifier::predict(FeatureView x, ThreadPool* pool) const {
+std::vector<Label> KnnClassifier::predict_rows(FeatureView x, ThreadPool* pool,
+                                               bool scalar) const {
   if (!is_fitted()) throw std::logic_error("knn: predict before fit");
-  if (x.cols != dim_) throw std::invalid_argument("knn: query dimension mismatch");
+  if (x.cols != dim()) throw std::invalid_argument("knn: query dimension mismatch");
   std::vector<Label> out(x.rows, 0);
   parallel_for_each(
-      pool, 0, x.rows,
-      [&](std::size_t i) { out[i] = predict_one(x.row(i), /*scalar=*/false); },
+      pool, 0, x.rows, [&](std::size_t i) { out[i] = predict_one(x.row(i), scalar); },
       /*grain=*/8);
   return out;
+}
+
+std::vector<Label> KnnClassifier::predict(FeatureView x, ThreadPool* pool) const {
+  return predict_rows(x, pool, /*scalar=*/false);
 }
 
 std::vector<Label> KnnClassifier::predict_scalar(FeatureView x, ThreadPool* pool) const {
-  if (!is_fitted()) throw std::logic_error("knn: predict before fit");
-  if (x.cols != dim_) throw std::invalid_argument("knn: query dimension mismatch");
-  std::vector<Label> out(x.rows, 0);
-  parallel_for_each(
-      pool, 0, x.rows,
-      [&](std::size_t i) { out[i] = predict_one(x.row(i), /*scalar=*/true); },
-      /*grain=*/8);
-  return out;
+  return predict_rows(x, pool, /*scalar=*/true);
+}
+
+std::vector<std::size_t> KnnClassifier::neighbors(std::span<const float> query,
+                                                  bool scalar) const {
+  if (!is_fitted()) throw std::logic_error("knn: kneighbors before fit");
+  if (query.size() != dim()) throw std::invalid_argument("knn: query dimension mismatch");
+  std::vector<std::size_t> idx;
+  std::vector<double> dist;
+  top_k(query, scalar, idx, dist);
+  return idx;
 }
 
 std::vector<std::size_t> KnnClassifier::kneighbors(std::span<const float> query) const {
-  if (!is_fitted()) throw std::logic_error("knn: kneighbors before fit");
-  std::vector<std::size_t> idx;
-  std::vector<double> dist;
-  top_k_fast(query, idx, dist);
-  return idx;
+  return neighbors(query, /*scalar=*/false);
 }
 
 std::vector<std::size_t> KnnClassifier::kneighbors_scalar(std::span<const float> query) const {
-  if (!is_fitted()) throw std::logic_error("knn: kneighbors before fit");
-  std::vector<std::size_t> idx;
-  std::vector<double> dist;
-  top_k_scan_scalar(query, idx, dist);
-  return idx;
+  return neighbors(query, /*scalar=*/true);
 }
 
 bool KnnClassifier::save(std::ostream& out) const {
-  // Refuse to serialize an unfitted model: it would write dim_ == 0,
+  // Refuse to serialize an unfitted model: it would write dim == 0,
   // which load() rejects — a silent success here just defers the
   // failure to whoever tries to read the file back.
   if (!is_fitted()) return false;
   io::write_header(out, io::kKindKnn);
   io::write_pod(out, static_cast<std::uint64_t>(config_.k));
   io::write_pod(out, config_.minkowski_p);
-  io::write_pod(out, static_cast<std::uint64_t>(dim_));
+  io::write_pod(out, static_cast<std::uint64_t>(dim()));
   io::write_pod(out, static_cast<std::uint64_t>(n_classes_));
-  io::write_vec(out, train_data_);
+  io::write_vec(out, index_.data());
   io::write_vec(out, labels_);
   return static_cast<bool>(out);
 }
@@ -243,15 +168,9 @@ bool KnnClassifier::load(std::istream& in) {
   }
   config_.k = static_cast<std::size_t>(k);
   config_.minkowski_p = minkowski_p;
-  dim_ = static_cast<std::size_t>(dim);
   n_classes_ = static_cast<std::size_t>(n_classes);
-  train_data_ = std::move(train_data);
   labels_ = std::move(labels);
-  train_norms_.resize(labels_.size());
-  for (std::size_t i = 0; i < labels_.size(); ++i) {
-    train_norms_[i] = row_norm_sq(train_data_.data() + i * dim_, dim_);
-  }
-  rebuild_index();
+  build_index(FeatureView{train_data.data(), labels_.size(), static_cast<std::size_t>(dim)});
   return true;
 }
 

@@ -5,27 +5,22 @@
 // class id. Training only stores the data ("just building a model
 // instance", §V-C); all the work happens at inference.
 //
-// The inner loop is a blocked brute-force scan. For p = 2 we expand
-// ||q - x||^2 = ||q||^2 - 2 q.x + ||x||^2 and precompute the training-row
-// norms, turning the scan into a pure GEMV-shaped dot-product sweep.
-// The fast kernel (ml/knn_kernels.hpp) walks the training matrix in row
-// tiles and computes each dot with four independent float accumulators:
-// a naive serial reduction is a single FP-add dependence chain the
-// compiler may not legally vectorize (float addition is not
-// associative), so breaking it into four chains pipelines the add
-// latency and unlocks SLP vectorization. The tile's distances land in a
-// small buffer before the top-k insertion runs, keeping the hot loop
-// branch-free. For general p the direct Minkowski sum is used. Queries
-// are embarrassingly parallel across the thread pool. The scalar
-// reference scan is kept (and exposed) so tests can assert the tiled
-// kernel returns identical neighbor indices.
-//
-// On top of the scan sits an optional pruned spatial index
-// (ml/knn_index.hpp): fit()/load() build it when the training set
-// reaches config.index.min_rows and p == 2, predict() consults it
-// first, and any query the index cannot serve exactly (non-finite
-// features, index disabled/too small) falls back to the tiled scan.
-// The shared TopK tie-break keeps both paths bit-identical.
+// The rows live in a KnnIndex (ml/knn_index.hpp), the one neighbor store
+// the classifier shares with the KNN regressor; the classifier adds only
+// the majority vote. The store's scan is blocked brute force: for p = 2
+// it expands ||q - x||^2 = ||q||^2 - 2 q.x + ||x||^2 over precomputed
+// row norms, turning the scan into a GEMV-shaped dot-product sweep. The
+// kernel (ml/knn_kernels.hpp) walks the rows in tiles and computes each
+// dot with four independent float accumulators: a naive serial
+// reduction is a single FP-add dependence chain the compiler may not
+// legally vectorize (float addition is not associative), so four chains
+// pipeline the add latency and unlock SLP vectorization. For general p
+// the direct Minkowski sum is used. Once the training set reaches
+// config.index.min_rows, p = 2 queries go through the store's pruned
+// spatial index instead; the shared TopK tie-break keeps both paths
+// bit-identical. Queries are embarrassingly parallel across the thread
+// pool. The scalar reference scan is kept (and exposed) so tests can
+// assert the fast paths return identical neighbor indices.
 #pragma once
 
 #include <cstdint>
@@ -62,16 +57,17 @@ class KnnClassifier final : public Classifier {
   std::string name() const override { return "knn"; }
   std::size_t n_classes() const noexcept override { return n_classes_; }
   std::size_t train_size() const noexcept { return labels_.size(); }
-  std::size_t dim() const noexcept { return dim_; }
+  std::size_t dim() const noexcept { return index_.dim(); }
   const KnnConfig& config() const noexcept { return config_; }
 
-  /// The spatial index (ready() is false when the scan is in use).
+  /// The neighbor store (ready() is false when the scan is in use).
   const KnnIndex& index() const noexcept { return index_; }
 
   /// Indices of the k nearest training rows to `query` (ascending
   /// distance; kTopKNoRow pads slots no admissible candidate filled,
-  /// e.g. non-finite queries). Exposed for tests and for the
-  /// future-work "similar jobs" use cases the paper sketches (§VI).
+  /// e.g. non-finite queries). Throws on a query whose width is not
+  /// dim(). Exposed for tests and for the future-work "similar jobs"
+  /// use cases the paper sketches (§VI).
   std::vector<std::size_t> kneighbors(std::span<const float> query) const;
 
   /// Scalar-scan counterpart of kneighbors (reference for tests).
@@ -81,21 +77,16 @@ class KnnClassifier final : public Classifier {
   bool load(std::istream& in) override;
 
  private:
+  std::vector<Label> predict_rows(FeatureView x, ThreadPool* pool, bool scalar) const;
   Label predict_one(std::span<const float> query, bool scalar) const;
+  std::vector<std::size_t> neighbors(std::span<const float> query, bool scalar) const;
+  void top_k(std::span<const float> query, bool scalar, std::vector<std::size_t>& idx,
+             std::vector<double>& dist) const;
   Label vote(std::span<const std::size_t> idx) const;
-  void top_k_fast(std::span<const float> query, std::vector<std::size_t>& idx,
-                  std::vector<double>& dist) const;
-  void top_k_scan(std::span<const float> query, std::vector<std::size_t>& idx,
-                  std::vector<double>& dist) const;
-  void top_k_scan_scalar(std::span<const float> query, std::vector<std::size_t>& idx,
-                         std::vector<double>& dist) const;
-  void rebuild_index();
+  void build_index(FeatureView x);
 
   KnnConfig config_;
-  std::size_t dim_ = 0;
   std::size_t n_classes_ = 0;
-  std::vector<float> train_data_;   // row-major n x dim
-  std::vector<float> train_norms_;  // ||x||^2 per row (p == 2 fast path)
   std::vector<Label> labels_;
   KnnIndex index_;
 };

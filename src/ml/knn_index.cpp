@@ -2,16 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <limits>
 #include <string_view>
 #include <unordered_map>
 
 #include "ml/knn_kernels.hpp"
-#include "ml/serialize.hpp"
 #include "ml/top_k.hpp"
 #include "util/annotations.hpp"
-#include "util/rng.hpp"
 
 namespace mcb {
 
@@ -28,8 +25,6 @@ namespace {
 /// power is unmeasurable.
 constexpr double kPruneSlackRel = 1e-4;
 
-constexpr std::uint64_t kMaxDim = 1ULL << 24;
-
 bool all_finite(const float* data, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) {
     if (!std::isfinite(data[i])) return false;
@@ -40,64 +35,73 @@ bool all_finite(const float* data, std::size_t n) {
 }  // namespace
 
 const char* knn_index_mode_name(KnnIndexMode mode) noexcept {
-  switch (mode) {
-    case KnnIndexMode::kBoundTree:
-      return "tree";
-    case KnnIndexMode::kIvfFlat:
-      return "ivf";
-    case KnnIndexMode::kNone:
-      break;
-  }
-  return "none";
+  return mode == KnnIndexMode::kBoundTree ? "tree" : "none";
 }
 
 std::optional<KnnIndexMode> parse_knn_index_mode(std::string_view name) noexcept {
   if (name == "none") return KnnIndexMode::kNone;
   if (name == "tree") return KnnIndexMode::kBoundTree;
-  if (name == "ivf") return KnnIndexMode::kIvfFlat;
   return std::nullopt;
 }
 
 void KnnIndex::clear() {
-  stats_ = {};
   dim_ = 0;
-  points_.clear();
+  data_.clear();
   norms_.clear();
+  stats_ = {};
+  points_.clear();
+  point_norms_.clear();
   group_offsets_.clear();
   group_rows_.clear();
   nodes_.clear();
   bounds_lo_.clear();
   bounds_hi_.clear();
-  centroids_.clear();
-  cell_offsets_.clear();
 }
 
 // ---------------------------------------------------------------- build
 
-bool KnnIndex::dedup(FeatureView data) {
+void KnnIndex::build(FeatureView data, const KnnIndexConfig& config) {
+  clear();
+  dim_ = data.cols;
+  data_.assign(data.data, data.data + data.rows * data.cols);
+  norms_.resize(data.rows);
+  for (std::size_t i = 0; i < data.rows; ++i) {
+    norms_[i] = row_norm_sq(data_.data() + i * dim_, dim_);
+  }
+  if (config.mode == KnnIndexMode::kNone || data.rows < config.min_rows) return;
+  if (data.empty() || data.rows >= std::numeric_limits<std::uint32_t>::max()) return;
+  if (!all_finite(data_.data(), data_.size())) return;
+  build_tree(std::max<std::size_t>(config.leaf_size, 1));
+  stats_.mode = config.mode;
+  stats_.rows = data.rows;
+  stats_.unique_rows = points_.size() / dim_;
+  stats_.nodes = nodes_.size();
+  for (const Node& node : nodes_) {
+    if (node.left < 0) ++stats_.leaves;
+  }
+}
+
+void KnnIndex::build_tree(std::size_t leaf_size) {
   // Group byte-identical rows: identical bytes produce identical dot
   // products under any deterministic kernel, so one distance per unique
   // point stands in for the whole group. NaN payload bits group too
   // (byte equality, not float equality), but build() already refused
   // non-finite data before this runs.
-  const std::size_t row_bytes = data.cols * sizeof(float);
+  const std::size_t n = rows();
+  const std::size_t row_bytes = dim_ * sizeof(float);
   std::unordered_map<std::string_view, std::uint32_t> seen;
-  seen.reserve(data.rows);
-  std::vector<std::uint32_t> row_uid(data.rows);
+  seen.reserve(n);
+  std::vector<std::uint32_t> row_uid(n);
   std::vector<float> unique_points;
-  for (std::size_t i = 0; i < data.rows; ++i) {
-    const char* bytes = reinterpret_cast<const char*>(data.data + i * data.cols);
+  for (std::size_t i = 0; i < n; ++i) {
+    const float* row = data_.data() + i * dim_;
     const auto [it, inserted] =
-        seen.emplace(std::string_view(bytes, row_bytes),
-                     static_cast<std::uint32_t>(unique_points.size() / data.cols));
-    if (inserted) {
-      unique_points.insert(unique_points.end(), data.data + i * data.cols,
-                           data.data + (i + 1) * data.cols);
-    }
+        seen.emplace(std::string_view(reinterpret_cast<const char*>(row), row_bytes),
+                     static_cast<std::uint32_t>(unique_points.size() / dim_));
+    if (inserted) unique_points.insert(unique_points.end(), row, row + dim_);
     row_uid[i] = it->second;
   }
-  const std::size_t nu = unique_points.size() / data.cols;
-  if (nu == 0 || nu > std::numeric_limits<std::uint32_t>::max() - 1) return false;
+  const std::size_t nu = unique_points.size() / dim_;
 
   // Per-group original row ids, ascending (rows visited in order).
   std::vector<std::uint32_t> group_count(nu, 0);
@@ -108,191 +112,88 @@ bool KnnIndex::dedup(FeatureView data) {
     group_begin[u] = acc;
     acc += group_count[u];
   }
-  std::vector<std::uint32_t> group_rows(data.rows);
+  std::vector<std::uint32_t> group_rows(n);
   std::vector<std::uint32_t> cursor = group_begin;
-  for (std::size_t i = 0; i < data.rows; ++i) {
+  for (std::size_t i = 0; i < n; ++i) {
     group_rows[cursor[row_uid[i]]++] = static_cast<std::uint32_t>(i);
   }
 
-  // Build the reordering (tree leaves / IVF cells) over unique ids,
-  // then gather points and groups into that order.
+  // Recursive median split over `order`; nodes are appended preorder so
+  // children always follow their parent.
   std::vector<std::uint32_t> order(nu);
   for (std::size_t u = 0; u < nu; ++u) order[u] = static_cast<std::uint32_t>(u);
-
-  if (config_.mode == KnnIndexMode::kBoundTree) {
-    nodes_.clear();
-    nodes_.reserve(2 * nu / std::max<std::size_t>(config_.leaf_size, 1) + 2);
-    // Recursive median split over `order`; nodes are appended preorder
-    // so children always follow their parent.
-    struct Builder {
-      std::vector<Node>& nodes;
-      const std::vector<float>& pts;
-      std::size_t dim;
-      std::size_t leaf_size;
-      std::int32_t build(std::vector<std::uint32_t>& order, std::uint32_t begin,
-                         std::uint32_t end) {
-        const auto idx = static_cast<std::int32_t>(nodes.size());
-        nodes.push_back(Node{-1, -1, begin, end});
-        const std::size_t count = end - begin;
-        if (count <= leaf_size) return idx;
-        // Widest dimension of this subset's bounding box.
-        std::size_t split_dim = 0;
-        float best_extent = -1.0F;
-        for (std::size_t d = 0; d < dim; ++d) {
-          float lo = pts[static_cast<std::size_t>(order[begin]) * dim + d];
-          float hi = lo;
-          for (std::uint32_t p = begin + 1; p < end; ++p) {
-            const float v = pts[static_cast<std::size_t>(order[p]) * dim + d];
-            lo = std::min(lo, v);
-            hi = std::max(hi, v);
-          }
-          const float extent = hi - lo;
-          if (extent > best_extent) {
-            best_extent = extent;
-            split_dim = d;
-          }
+  nodes_.reserve(2 * nu / leaf_size + 2);
+  struct Builder {
+    std::vector<Node>& nodes;
+    std::vector<std::uint32_t>& order;
+    const std::vector<float>& pts;
+    std::size_t dim;
+    std::size_t leaf_size;
+    std::int32_t build(std::uint32_t begin, std::uint32_t end) {
+      const auto idx = static_cast<std::int32_t>(nodes.size());
+      nodes.push_back(Node{-1, -1, begin, end});
+      const std::size_t count = end - begin;
+      if (count <= leaf_size) return idx;
+      // Widest dimension of this subset's bounding box.
+      std::size_t split_dim = 0;
+      float best_extent = -1.0F;
+      for (std::size_t d = 0; d < dim; ++d) {
+        float lo = pts[static_cast<std::size_t>(order[begin]) * dim + d];
+        float hi = lo;
+        for (std::uint32_t p = begin + 1; p < end; ++p) {
+          const float v = pts[static_cast<std::size_t>(order[p]) * dim + d];
+          lo = std::min(lo, v);
+          hi = std::max(hi, v);
         }
-        // Zero extent means every remaining unique point is value-equal
-        // (e.g. -0.0 vs 0.0 byte-distinct rows): splitting cannot make
-        // progress, so the node stays a leaf.
-        if (!(best_extent > 0.0F)) return idx;
-        const std::uint32_t mid = begin + static_cast<std::uint32_t>(count / 2);
-        std::nth_element(order.begin() + begin, order.begin() + mid, order.begin() + end,
-                         [&](std::uint32_t a, std::uint32_t b) {
-                           return pts[static_cast<std::size_t>(a) * dim + split_dim] <
-                                  pts[static_cast<std::size_t>(b) * dim + split_dim];
-                         });
-        const std::int32_t left = build(order, begin, mid);
-        const std::int32_t right = build(order, mid, end);
-        nodes[static_cast<std::size_t>(idx)].left = left;
-        nodes[static_cast<std::size_t>(idx)].right = right;
-        return idx;
-      }
-    };
-    Builder builder{nodes_, unique_points, dim_, std::max<std::size_t>(config_.leaf_size, 1)};
-    std::vector<std::uint32_t> mutable_order = order;
-    builder.build(mutable_order, 0, static_cast<std::uint32_t>(nu));
-    order = std::move(mutable_order);
-  } else if (config_.mode == KnnIndexMode::kIvfFlat) {
-    // k-means over unique points: sampled init, a few Lloyd rounds,
-    // deterministic tie-breaks (lower cell id wins).
-    const std::size_t want = config_.ivf_clusters != 0
-                                 ? config_.ivf_clusters
-                                 : static_cast<std::size_t>(
-                                       std::ceil(std::sqrt(static_cast<double>(nu))));
-    const std::size_t c = std::clamp<std::size_t>(want, 1, nu);
-    Rng rng(config_.seed);
-    std::vector<std::uint32_t> pool = order;
-    for (std::size_t i = 0; i < c; ++i) {
-      const std::size_t j = i + rng.bounded(pool.size() - i);
-      std::swap(pool[i], pool[j]);
-    }
-    centroids_.assign(c * dim_, 0.0F);
-    for (std::size_t i = 0; i < c; ++i) {
-      std::copy_n(unique_points.data() + static_cast<std::size_t>(pool[i]) * dim_, dim_,
-                  centroids_.data() + i * dim_);
-    }
-    std::vector<std::uint32_t> assign(nu, 0);
-    constexpr int kLloydRounds = 10;
-    for (int round = 0; round < kLloydRounds; ++round) {
-      for (std::size_t u = 0; u < nu; ++u) {
-        const float* p = unique_points.data() + u * dim_;
-        double best = std::numeric_limits<double>::infinity();
-        std::uint32_t best_cell = 0;
-        for (std::size_t cell = 0; cell < c; ++cell) {
-          const float* ctr = centroids_.data() + cell * dim_;
-          double d2 = 0.0;
-          for (std::size_t j = 0; j < dim_; ++j) {
-            const double diff = static_cast<double>(p[j]) - ctr[j];
-            d2 += diff * diff;
-          }
-          if (d2 < best) {
-            best = d2;
-            best_cell = static_cast<std::uint32_t>(cell);
-          }
-        }
-        assign[u] = best_cell;
-      }
-      std::vector<double> sums(c * dim_, 0.0);
-      std::vector<std::uint32_t> counts(c, 0);
-      for (std::size_t u = 0; u < nu; ++u) {
-        const float* p = unique_points.data() + u * dim_;
-        double* s = sums.data() + static_cast<std::size_t>(assign[u]) * dim_;
-        for (std::size_t j = 0; j < dim_; ++j) s[j] += p[j];
-        ++counts[assign[u]];
-      }
-      for (std::size_t cell = 0; cell < c; ++cell) {
-        if (counts[cell] == 0) continue;  // empty cells keep their centroid
-        float* ctr = centroids_.data() + cell * dim_;
-        for (std::size_t j = 0; j < dim_; ++j) {
-          ctr[j] = static_cast<float>(sums[cell * dim_ + j] / counts[cell]);
+        const float extent = hi - lo;
+        if (extent > best_extent) {
+          best_extent = extent;
+          split_dim = d;
         }
       }
+      // Zero extent means every remaining unique point is value-equal
+      // (e.g. -0.0 vs 0.0 byte-distinct rows): splitting cannot make
+      // progress, so the node stays a leaf.
+      if (!(best_extent > 0.0F)) return idx;
+      const std::uint32_t mid = begin + static_cast<std::uint32_t>(count / 2);
+      std::nth_element(order.begin() + begin, order.begin() + mid, order.begin() + end,
+                       [&](std::uint32_t a, std::uint32_t b) {
+                         return pts[static_cast<std::size_t>(a) * dim + split_dim] <
+                                pts[static_cast<std::size_t>(b) * dim + split_dim];
+                       });
+      const std::int32_t left = build(begin, mid);
+      const std::int32_t right = build(mid, end);
+      nodes[static_cast<std::size_t>(idx)].left = left;
+      nodes[static_cast<std::size_t>(idx)].right = right;
+      return idx;
     }
-    // Order points by (cell, unique id); drop empty cells so every
-    // stored cell has a non-empty segment.
-    std::stable_sort(order.begin(), order.end(), [&](std::uint32_t a, std::uint32_t b) {
-      return assign[a] < assign[b];
-    });
-    std::vector<float> kept_centroids;
-    cell_offsets_.assign(1, 0);
-    std::size_t pos = 0;
-    for (std::size_t cell = 0; cell < c; ++cell) {
-      std::size_t end = pos;
-      while (end < nu && assign[order[end]] == cell) ++end;
-      if (end > pos) {
-        kept_centroids.insert(kept_centroids.end(), centroids_.begin() + cell * dim_,
-                              centroids_.begin() + (cell + 1) * dim_);
-        cell_offsets_.push_back(static_cast<std::uint32_t>(end));
-      }
-      pos = end;
-    }
-    centroids_ = std::move(kept_centroids);
-  }
+  };
+  Builder{nodes_, order, unique_points, dim_, leaf_size}.build(0, static_cast<std::uint32_t>(nu));
 
-  finish_reorder(order, unique_points, group_begin, group_count, group_rows);
-  return true;
-}
-
-void KnnIndex::finish_reorder(const std::vector<std::uint32_t>& order,
-                              const std::vector<float>& unique_points,
-                              const std::vector<std::uint32_t>& group_begin,
-                              const std::vector<std::uint32_t>& group_count,
-                              const std::vector<std::uint32_t>& group_rows) {
-  const std::size_t nu = order.size();
+  // Gather points and groups into leaf order.
   points_.resize(nu * dim_);
+  point_norms_.resize(nu);
   group_offsets_.assign(nu + 1, 0);
-  group_rows_.resize(group_rows.size());
+  group_rows_.resize(n);
   std::uint32_t out = 0;
   for (std::size_t pos = 0; pos < nu; ++pos) {
     const std::uint32_t uid = order[pos];
     std::copy_n(unique_points.data() + static_cast<std::size_t>(uid) * dim_, dim_,
                 points_.data() + pos * dim_);
+    point_norms_[pos] = row_norm_sq(points_.data() + pos * dim_, dim_);
     group_offsets_[pos] = out;
     std::copy_n(group_rows.data() + group_begin[uid], group_count[uid],
                 group_rows_.data() + out);
     out += group_count[uid];
   }
   group_offsets_[nu] = out;
-}
 
-void KnnIndex::recompute_derived() {
-  const std::size_t nu = points_.size() / std::max<std::size_t>(dim_, 1);
-  norms_.resize(nu);
-  for (std::size_t u = 0; u < nu; ++u) {
-    norms_[u] = row_norm_sq(points_.data() + u * dim_, dim_);
-  }
-  bounds_lo_.assign(nodes_.size() * dim_, 0.0F);
-  bounds_hi_.assign(nodes_.size() * dim_, 0.0F);
-  for (std::size_t n = 0; n < nodes_.size(); ++n) {
-    const Node& node = nodes_[n];
-    float* lo = bounds_lo_.data() + n * dim_;
-    float* hi = bounds_hi_.data() + n * dim_;
-    for (std::size_t d = 0; d < dim_; ++d) {
-      lo[d] = std::numeric_limits<float>::infinity();
-      hi[d] = -std::numeric_limits<float>::infinity();
-    }
-    for (std::uint32_t p = node.begin; p < node.end; ++p) {
+  bounds_lo_.assign(nodes_.size() * dim_, std::numeric_limits<float>::infinity());
+  bounds_hi_.assign(nodes_.size() * dim_, -std::numeric_limits<float>::infinity());
+  for (std::size_t node = 0; node < nodes_.size(); ++node) {
+    float* lo = bounds_lo_.data() + node * dim_;
+    float* hi = bounds_hi_.data() + node * dim_;
+    for (std::uint32_t p = nodes_[node].begin; p < nodes_[node].end; ++p) {
       const float* point = points_.data() + static_cast<std::size_t>(p) * dim_;
       for (std::size_t d = 0; d < dim_; ++d) {
         lo[d] = std::min(lo[d], point[d]);
@@ -302,32 +203,67 @@ void KnnIndex::recompute_derived() {
   }
 }
 
-bool KnnIndex::build(FeatureView data, const KnnIndexConfig& config) {
-  clear();
-  if (config.mode == KnnIndexMode::kNone) return false;
-  if (data.empty() || data.rows > std::numeric_limits<std::uint32_t>::max()) return false;
-  if (!all_finite(data.data, data.rows * data.cols)) return false;
-  config_ = config;
-  dim_ = data.cols;
-  if (!dedup(data)) {
-    clear();
-    return false;
+// --------------------------------------------------------------- search
+
+// idx/dist are the callers' warm thread_local scratch (see
+// KnnClassifier::predict_one): TopK reuses their capacity, so a query
+// performs no allocation once a thread has served one.
+MCB_HOT_PATH void KnnIndex::search(std::span<const float> query, std::size_t k, double p,
+                                   std::vector<std::size_t>& idx,
+                                   std::vector<double>& dist) const {
+  TopK top(idx, dist, std::min(k, rows()));
+  if (idx.empty()) return;  // k == 0 or no rows: nothing to rank
+  if (p != 2.0) {
+    scan_minkowski(query.data(), p, top);
+  } else if (ready() && all_finite(query.data(), query.size())) {
+    search_tree(query.data(), idx.size(), top);
+  } else {
+    scan(query.data(), top);
   }
-  recompute_derived();
-  stats_.mode = config_.mode;
-  stats_.rows = data.rows;
-  stats_.unique_rows = points_.size() / dim_;
-  stats_.nodes = nodes_.size();
-  for (const Node& node : nodes_) {
-    if (node.left < 0) ++stats_.leaves;
-  }
-  stats_.clusters = cell_offsets_.empty() ? 0 : cell_offsets_.size() - 1;
-  stats_.nprobe = std::max<std::size_t>(config_.ivf_nprobe, 1);
-  stats_.exact = config_.mode == KnnIndexMode::kBoundTree || stats_.nprobe >= stats_.clusters;
-  return true;
 }
 
-// --------------------------------------------------------------- search
+void KnnIndex::search_scalar(std::span<const float> query, std::size_t k, double p,
+                             std::vector<std::size_t>& idx,
+                             std::vector<double>& dist) const {
+  TopK top(idx, dist, std::min(k, rows()));
+  if (idx.empty()) return;
+  if (p != 2.0) {
+    scan_minkowski(query.data(), p, top);
+    return;
+  }
+  for (std::size_t i = 0; i < rows(); ++i) {
+    const float* row = data_.data() + i * dim_;
+    float dot = 0.0F;
+    for (std::size_t j = 0; j < dim_; ++j) dot += row[j] * query[j];
+    top.consider(i, static_cast<double>(norms_[i]) - 2.0 * static_cast<double>(dot));
+  }
+}
+
+MCB_HOT_PATH void KnnIndex::scan(const float* q, TopK& top) const {
+  // Squared-distance scan via dot products (monotone in the true
+  // distance, so ranking is unaffected).
+  const std::size_t n = rows();
+  float dots[kScanTile];
+  for (std::size_t base = 0; base < n; base += kScanTile) {
+    const std::size_t count = std::min(kScanTile, n - base);
+    tile_dots(data_.data() + base * dim_, count, dim_, q, dots);
+    for (std::size_t i = 0; i < count; ++i) {
+      top.consider(base + i, static_cast<double>(norms_[base + i]) -
+                                 2.0 * static_cast<double>(dots[i]));
+    }
+  }
+}
+
+void KnnIndex::scan_minkowski(const float* q, double p, TopK& top) const {
+  for (std::size_t i = 0; i < rows(); ++i) {
+    const float* row = data_.data() + i * dim_;
+    double sum = 0.0;
+    for (std::size_t j = 0; j < dim_; ++j) {
+      sum += std::pow(std::abs(static_cast<double>(row[j]) - q[j]), p);
+    }
+    top.consider(i, sum);  // comparing sums ~ comparing p-th roots
+  }
+}
 
 MCB_HOT_PATH double KnnIndex::node_min_dist_sq(std::size_t node, const float* q) const {
   const float* lo = bounds_lo_.data() + node * dim_;
@@ -353,9 +289,10 @@ MCB_HOT_PATH void KnnIndex::scan_segment(std::uint32_t begin, std::uint32_t end,
     tile_dots(points_.data() + static_cast<std::size_t>(base) * dim_, count, dim_, q, dots);
     for (std::size_t i = 0; i < count; ++i) {
       const std::size_t u = base + i;
-      // Same distance key as KnnClassifier::top_k_scan: monotone in the
-      // true distance; the query norm is constant across rows.
-      const double d = static_cast<double>(norms_[u]) - 2.0 * static_cast<double>(dots[i]);
+      // Same distance key as scan(): monotone in the true distance; the
+      // query norm is constant across rows.
+      const double d =
+          static_cast<double>(point_norms_[u]) - 2.0 * static_cast<double>(dots[i]);
       const std::uint32_t off = group_offsets_[u];
       const std::uint32_t take =
           std::min<std::uint32_t>(static_cast<std::uint32_t>(k), group_offsets_[u + 1] - off);
@@ -368,206 +305,46 @@ MCB_HOT_PATH void KnnIndex::scan_segment(std::uint32_t begin, std::uint32_t end,
   }
 }
 
-// Traversal scratch lives in thread_local vectors (same idiom as
-// KnnClassifier::predict_one): after the first few queries on a thread
-// the capacity is warm and the fast path performs no allocation.
+// Traversal scratch lives in a thread_local vector: after the first few
+// queries on a thread the capacity is warm and the tree performs no
+// allocation.
 MCB_HOT_PATH
 // mcb-lint: suppress(R10: warm thread_local scratch — growth amortizes to zero across queries)
-bool KnnIndex::search(std::span<const float> query, std::size_t k,
-                      std::vector<std::size_t>& idx, std::vector<double>& dist) const {
-  if (!ready() || query.size() != dim_ || k == 0) return false;
-  if (!all_finite(query.data(), query.size())) return false;
-
+void KnnIndex::search_tree(const float* q, std::size_t k, TopK& top) const {
   double query_norm = 0.0;
-  for (const float v : query) query_norm += static_cast<double>(v) * v;
-  const std::size_t k_eff = std::min(k, stats_.rows);
-  TopK top(idx, dist, k_eff);
-  const float* q = query.data();
-
-  if (stats_.mode == KnnIndexMode::kBoundTree) {
-    // Depth-first, nearer child first; prune when a subtree's best
-    // possible distance (shifted into the scan's query-norm-free key
-    // space) cannot beat the current k-th best even after allowing for
-    // kernel rounding slack.
-    const auto prunable = [&](double bound_sq) {
-      const double tau = top.worst();
-      const double slack = kPruneSlackRel * (1.0 + std::abs(query_norm) + std::abs(tau));
-      return bound_sq - query_norm > tau + slack;
-    };
-    thread_local std::vector<std::pair<std::int32_t, double>> stack;
-    stack.clear();
-    stack.reserve(64);
-    stack.emplace_back(0, node_min_dist_sq(0, q));
-    while (!stack.empty()) {
-      const auto [node_idx, bound] = stack.back();
-      stack.pop_back();
-      if (prunable(bound)) continue;
-      const Node& node = nodes_[static_cast<std::size_t>(node_idx)];
-      if (node.left < 0) {
-        scan_segment(node.begin, node.end, q, k_eff, top);
-        continue;
-      }
-      const double left_bound = node_min_dist_sq(static_cast<std::size_t>(node.left), q);
-      const double right_bound = node_min_dist_sq(static_cast<std::size_t>(node.right), q);
-      if (left_bound <= right_bound) {
-        stack.emplace_back(node.right, right_bound);
-        stack.emplace_back(node.left, left_bound);
-      } else {
-        stack.emplace_back(node.left, left_bound);
-        stack.emplace_back(node.right, right_bound);
-      }
-    }
-  } else {
-    const std::size_t cells = cell_offsets_.size() - 1;
-    thread_local std::vector<std::pair<double, std::uint32_t>> ranked;
-    ranked.resize(cells);
-    for (std::size_t cell = 0; cell < cells; ++cell) {
-      const float* ctr = centroids_.data() + cell * dim_;
-      double d2 = 0.0;
-      for (std::size_t j = 0; j < dim_; ++j) {
-        const double diff = static_cast<double>(q[j]) - ctr[j];
-        d2 += diff * diff;
-      }
-      ranked[cell] = {d2, static_cast<std::uint32_t>(cell)};
-    }
-    const std::size_t nprobe = std::min(stats_.nprobe, cells);
-    std::partial_sort(ranked.begin(), ranked.begin() + static_cast<std::ptrdiff_t>(nprobe),
-                      ranked.end());
-    for (std::size_t p = 0; p < nprobe; ++p) {
-      const std::uint32_t cell = ranked[p].second;
-      scan_segment(cell_offsets_[cell], cell_offsets_[cell + 1], q, k_eff, top);
-    }
-  }
-  return true;
-}
-
-// ------------------------------------------------------------ serialize
-
-bool KnnIndex::save(std::ostream& out) const {
-  if (!ready()) return false;
-  io::write_header(out, io::kKindKnnIndex);
-  io::write_pod(out, static_cast<std::uint32_t>(stats_.mode));
-  io::write_pod(out, static_cast<std::uint64_t>(dim_));
-  io::write_pod(out, static_cast<std::uint64_t>(stats_.rows));
-  io::write_pod(out, static_cast<std::uint64_t>(config_.leaf_size));
-  io::write_pod(out, static_cast<std::uint64_t>(config_.ivf_nprobe));
-  io::write_pod(out, static_cast<std::uint64_t>(config_.min_rows));
-  io::write_pod(out, config_.seed);
-  io::write_vec(out, points_);
-  io::write_vec(out, group_offsets_);
-  io::write_vec(out, group_rows_);
-  io::write_vec(out, nodes_);
-  io::write_vec(out, centroids_);
-  io::write_vec(out, cell_offsets_);
-  return static_cast<bool>(out);
-}
-
-bool KnnIndex::load(std::istream& in) {
-  clear();
-  std::uint32_t kind = 0;
-  if (!io::read_header(in, kind) || kind != io::kKindKnnIndex) return false;
-  std::uint32_t mode = 0;
-  std::uint64_t dim = 0, rows = 0, leaf_size = 0, nprobe = 0, min_rows = 0, seed = 0;
-  if (!io::read_pod(in, mode) || !io::read_pod(in, dim) || !io::read_pod(in, rows) ||
-      !io::read_pod(in, leaf_size) || !io::read_pod(in, nprobe) ||
-      !io::read_pod(in, min_rows) || !io::read_pod(in, seed)) {
-    return false;
-  }
-  if (mode != static_cast<std::uint32_t>(KnnIndexMode::kBoundTree) &&
-      mode != static_cast<std::uint32_t>(KnnIndexMode::kIvfFlat)) {
-    return false;
-  }
-  if (dim == 0 || dim > kMaxDim) return false;
-  if (!io::read_vec(in, points_, io::kMaxVecElems) ||
-      !io::read_vec(in, group_offsets_, io::kMaxVecElems) ||
-      !io::read_vec(in, group_rows_, io::kMaxVecElems) ||
-      !io::read_vec(in, nodes_, io::kMaxVecElems) ||
-      !io::read_vec(in, centroids_, io::kMaxVecElems) ||
-      !io::read_vec(in, cell_offsets_, io::kMaxVecElems)) {
-    clear();
-    return false;
-  }
-
-  // Structural validation: every array length, range and child link is
-  // re-checked so a crafted stream cannot cause out-of-bounds traversal
-  // or non-termination later. Norms and node bounds are *recomputed*
-  // from the point data rather than trusted from the stream.
-  const auto reject = [this] {
-    clear();
-    return false;
+  for (std::size_t d = 0; d < dim_; ++d) query_norm += static_cast<double>(q[d]) * q[d];
+  // Depth-first, nearer child first; prune when a subtree's best
+  // possible distance (shifted into the scan's query-norm-free key
+  // space) cannot beat the current k-th best even after allowing for
+  // kernel rounding slack.
+  const auto prunable = [&](double bound_sq) {
+    const double tau = top.worst();
+    const double slack = kPruneSlackRel * (1.0 + std::abs(query_norm) + std::abs(tau));
+    return bound_sq - query_norm > tau + slack;
   };
-  dim_ = static_cast<std::size_t>(dim);
-  if (points_.empty() || points_.size() % dim_ != 0) return reject();
-  const std::size_t nu = points_.size() / dim_;
-  if (!all_finite(points_.data(), points_.size())) return reject();
-  if (group_rows_.size() != rows || rows == 0 || nu > rows) return reject();
-  if (group_offsets_.size() != nu + 1 || group_offsets_.front() != 0 ||
-      group_offsets_.back() != group_rows_.size()) {
-    return reject();
-  }
-  for (std::size_t u = 0; u < nu; ++u) {
-    if (group_offsets_[u + 1] <= group_offsets_[u]) return reject();  // empty/overlap
-  }
-  for (const std::uint32_t row : group_rows_) {
-    if (row >= rows) return reject();
-  }
-  if (mode == static_cast<std::uint32_t>(KnnIndexMode::kBoundTree)) {
-    if (!centroids_.empty() || !cell_offsets_.empty()) return reject();
-    if (nodes_.empty() || nodes_.front().begin != 0 || nodes_.front().end != nu) {
-      return reject();
+  thread_local std::vector<std::pair<std::int32_t, double>> stack;
+  stack.clear();
+  stack.reserve(64);
+  stack.emplace_back(0, node_min_dist_sq(0, q));
+  while (!stack.empty()) {
+    const auto [node_idx, bound] = stack.back();
+    stack.pop_back();
+    if (prunable(bound)) continue;
+    const Node& node = nodes_[static_cast<std::size_t>(node_idx)];
+    if (node.left < 0) {
+      scan_segment(node.begin, node.end, q, k, top);
+      continue;
     }
-    for (std::size_t i = 0; i < nodes_.size(); ++i) {
-      const Node& node = nodes_[i];
-      if (node.begin > node.end || node.end > nu) return reject();
-      const bool leaf = node.left < 0 || node.right < 0;
-      if (leaf) {
-        if (node.left != -1 || node.right != -1) return reject();
-        continue;
-      }
-      // Children follow their parent (preorder build), which bounds the
-      // traversal; they must partition the parent's range exactly so a
-      // loaded tree still covers every point.
-      const auto left = static_cast<std::size_t>(node.left);
-      const auto right = static_cast<std::size_t>(node.right);
-      if (left <= i || right <= i || left >= nodes_.size() || right >= nodes_.size()) {
-        return reject();
-      }
-      if (nodes_[left].begin != node.begin || nodes_[right].end != node.end ||
-          nodes_[left].end != nodes_[right].begin) {
-        return reject();
-      }
+    const double left_bound = node_min_dist_sq(static_cast<std::size_t>(node.left), q);
+    const double right_bound = node_min_dist_sq(static_cast<std::size_t>(node.right), q);
+    if (left_bound <= right_bound) {
+      stack.emplace_back(node.right, right_bound);
+      stack.emplace_back(node.left, left_bound);
+    } else {
+      stack.emplace_back(node.left, left_bound);
+      stack.emplace_back(node.right, right_bound);
     }
-  } else {
-    if (!nodes_.empty()) return reject();
-    if (cell_offsets_.size() < 2 || cell_offsets_.front() != 0 ||
-        cell_offsets_.back() != nu) {
-      return reject();
-    }
-    for (std::size_t c = 0; c + 1 < cell_offsets_.size(); ++c) {
-      if (cell_offsets_[c + 1] <= cell_offsets_[c]) return reject();
-    }
-    if (centroids_.size() != (cell_offsets_.size() - 1) * dim_) return reject();
-    if (!all_finite(centroids_.data(), centroids_.size())) return reject();
   }
-
-  config_ = {};
-  config_.mode = static_cast<KnnIndexMode>(mode);
-  config_.leaf_size = static_cast<std::size_t>(leaf_size);
-  config_.ivf_nprobe = static_cast<std::size_t>(nprobe);
-  config_.min_rows = static_cast<std::size_t>(min_rows);
-  config_.seed = seed;
-  recompute_derived();
-  stats_.mode = config_.mode;
-  stats_.rows = static_cast<std::size_t>(rows);
-  stats_.unique_rows = nu;
-  stats_.nodes = nodes_.size();
-  for (const Node& node : nodes_) {
-    if (node.left < 0) ++stats_.leaves;
-  }
-  stats_.clusters = cell_offsets_.empty() ? 0 : cell_offsets_.size() - 1;
-  stats_.nprobe = std::max<std::size_t>(config_.ivf_nprobe, 1);
-  stats_.exact = stats_.mode == KnnIndexMode::kBoundTree || stats_.nprobe >= stats_.clusters;
-  return true;
 }
 
 }  // namespace mcb

@@ -1,9 +1,9 @@
 // Shared distance kernels for the KNN scan and the spatial index.
 //
 // tile_dots is the deterministic 4-accumulator dot kernel from the PR 3
-// fast path (see knn.cpp header comment for the vectorization
-// rationale). It lives here so the tiled scan, the bounding-box tree's
-// leaf sweep and the IVF cell probe all compute *bitwise identical*
+// fast path (see knn.hpp header comment for the vectorization
+// rationale). It lives here so the tiled scan and the bounding-box
+// tree's leaf sweep both compute *bitwise identical*
 // distances for the same row bytes — the precondition for the shared
 // TopK tie-break to make their results interchangeable.
 #pragma once

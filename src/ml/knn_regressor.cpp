@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <stdexcept>
 
-#include "ml/knn_kernels.hpp"
 #include "ml/serialize.hpp"
 #include "ml/top_k.hpp"
 #include "util/thread_pool.hpp"
@@ -23,46 +21,18 @@ KnnRegressor::KnnRegressor(KnnRegressorConfig config) : config_(config) {
 void KnnRegressor::fit(FeatureView x, std::span<const double> y) {
   if (x.rows != y.size()) throw std::invalid_argument("knn_regressor: rows/targets mismatch");
   if (x.rows == 0) throw std::invalid_argument("knn_regressor: empty training set");
-  dim_ = x.cols;
-  train_data_.assign(x.data, x.data + x.rows * x.cols);
   targets_.assign(y.begin(), y.end());
-  train_norms_.resize(x.rows);
-  for (std::size_t i = 0; i < x.rows; ++i) {
-    train_norms_[i] = row_norm_sq(train_data_.data() + i * dim_, dim_);
-  }
-  rebuild_index();
-}
-
-void KnnRegressor::rebuild_index() {
-  index_.clear();
-  if (config_.index.mode == KnnIndexMode::kNone) return;
-  if (targets_.size() < config_.index.min_rows) return;
-  index_.build(FeatureView{train_data_.data(), targets_.size(), dim_}, config_.index);
+  index_.build(x, config_.index);
 }
 
 double KnnRegressor::predict_one(std::span<const float> query) const {
-  const std::size_t n = targets_.size();
-  const std::size_t k = std::min(config_.k, n);
   thread_local std::vector<std::size_t> idx;
   thread_local std::vector<double> dist;
-
   // Neighbor distances use the scan's query-norm-free key
   // ||x||^2 - 2 q.x (the query norm is constant across rows, so the
   // ranking is unchanged); it is added back below only where the true
   // squared distance matters, in the 1/d weights.
-  if (!(index_.ready() && index_.search(query, config_.k, idx, dist))) {
-    TopK top(idx, dist, k);
-    float dots[kScanTile];
-    for (std::size_t base = 0; base < n; base += kScanTile) {
-      const std::size_t rows = std::min(kScanTile, n - base);
-      tile_dots(train_data_.data() + base * dim_, rows, dim_, query.data(), dots);
-      for (std::size_t i = 0; i < rows; ++i) {
-        const double d =
-            static_cast<double>(train_norms_[base + i]) - 2.0 * static_cast<double>(dots[i]);
-        top.consider(base + i, d);
-      }
-    }
-  }
+  index_.search(query, config_.k, /*p=*/2.0, idx, dist);
 
   if (!config_.distance_weighted) {
     double sum = 0.0;
@@ -89,7 +59,7 @@ double KnnRegressor::predict_one(std::span<const float> query) const {
 
 std::vector<double> KnnRegressor::predict(FeatureView x, ThreadPool* pool) const {
   if (!is_fitted()) throw std::logic_error("knn_regressor: predict before fit");
-  if (x.cols != dim_) throw std::invalid_argument("knn_regressor: dimension mismatch");
+  if (x.cols != dim()) throw std::invalid_argument("knn_regressor: dimension mismatch");
   std::vector<double> out(x.rows, 0.0);
   parallel_for_each(
       pool, 0, x.rows, [&](std::size_t i) { out[i] = predict_one(x.row(i)); },
@@ -104,8 +74,8 @@ bool KnnRegressor::save(std::ostream& out) const {
   // Serialized as uint8_t: reading an arbitrary file byte into a C++
   // bool is UB for values other than 0/1 (UBSan "invalid bool load").
   io::write_pod(out, static_cast<std::uint8_t>(config_.distance_weighted ? 1 : 0));
-  io::write_pod(out, static_cast<std::uint64_t>(dim_));
-  io::write_vec(out, train_data_);
+  io::write_pod(out, static_cast<std::uint64_t>(dim()));
+  io::write_vec(out, index_.data());
   io::write_vec(out, targets_);
   return static_cast<bool>(out);
 }
@@ -135,14 +105,9 @@ bool KnnRegressor::load(std::istream& in) {
   }
   config_.k = static_cast<std::size_t>(k);
   config_.distance_weighted = distance_weighted != 0;
-  dim_ = static_cast<std::size_t>(dim);
-  train_data_ = std::move(train_data);
   targets_ = std::move(targets);
-  train_norms_.resize(targets_.size());
-  for (std::size_t i = 0; i < targets_.size(); ++i) {
-    train_norms_[i] = row_norm_sq(train_data_.data() + i * dim_, dim_);
-  }
-  rebuild_index();
+  index_.build(FeatureView{train_data.data(), targets_.size(), static_cast<std::size_t>(dim)},
+               config_.index);
   return true;
 }
 

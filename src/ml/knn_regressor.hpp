@@ -7,10 +7,10 @@
 // vote replaced by a (optionally distance-weighted) mean of the
 // neighbors' target values.
 //
-// The neighbor search shares the classifier's machinery outright: the
-// tiled tile_dots kernel, the TopK tie-break (lower row id wins on equal
-// distance) and the pruned spatial index, so classifier and regressor
-// pick identical neighbor sets for identical data by construction.
+// The neighbor search is the classifier's own neighbor store (KnnIndex:
+// the rows, the pruned spatial index and the tiled-scan fallback behind
+// one TopK tie-break), so classifier and regressor pick identical
+// neighbor sets for identical data by construction.
 #pragma once
 
 #include <cstdint>
@@ -39,10 +39,10 @@ class KnnRegressor {
   void fit(FeatureView x, std::span<const double> y);
   bool is_fitted() const noexcept { return !targets_.empty(); }
   std::size_t train_size() const noexcept { return targets_.size(); }
-  std::size_t dim() const noexcept { return dim_; }
+  std::size_t dim() const noexcept { return index_.dim(); }
   const KnnRegressorConfig& config() const noexcept { return config_; }
 
-  /// The spatial index (ready() is false when the scan is in use).
+  /// The neighbor store (ready() is false when the scan is in use).
   const KnnIndex& index() const noexcept { return index_; }
 
   double predict_one(std::span<const float> query) const;
@@ -52,12 +52,7 @@ class KnnRegressor {
   bool load(std::istream& in);
 
  private:
-  void rebuild_index();
-
   KnnRegressorConfig config_;
-  std::size_t dim_ = 0;
-  std::vector<float> train_data_;
-  std::vector<float> train_norms_;
   std::vector<double> targets_;
   KnnIndex index_;
 };

@@ -159,22 +159,33 @@ bool RandomForestClassifier::load(std::istream& in) {
       !io::read_pod(in, n_trees) || n_trees == 0 || n_trees > (1ULL << 20)) {
     return false;
   }
-  if (!binner_.load(in)) return false;
-  flat_ = FlatForest();
-  trees_.assign(n_trees, DecisionTree());
-  for (auto& tree : trees_) {
-    if (!tree.load(in)) return false;
+  // Read into locals and commit only once everything checks out, so a
+  // rejected stream leaves the model unfitted instead of half-loaded.
+  // Every split must index a column of an n_features-wide row, and the
+  // binner must cover exactly those columns.
+  FeatureBinner binner;
+  if (n_features == 0 || !binner.load(in) || binner.n_features() != n_features) return false;
+  std::vector<DecisionTree> trees;
+  trees.reserve(static_cast<std::size_t>(std::min<std::uint64_t>(n_trees, 1024)));
+  for (std::uint64_t t = 0; t < n_trees; ++t) {
+    DecisionTree tree;
+    if (!tree.load(in, static_cast<std::size_t>(n_features))) return false;
+    trees.push_back(std::move(tree));
+  }
+  // Rebuild the batched-inference representation; a stream whose trees
+  // and binner disagree (class counts, thresholds past the edges) is
+  // malformed, not a crash.
+  FlatForest flat;
+  try {
+    flat.build(trees, binner, static_cast<std::size_t>(n_classes));
+  } catch (const std::logic_error&) {
+    return false;
   }
   n_classes_ = static_cast<std::size_t>(n_classes);
   n_features_ = static_cast<std::size_t>(n_features);
-  // Rebuild the batched-inference representation; a stream whose trees
-  // and binner disagree is malformed, not a crash.
-  try {
-    flat_.build(trees_, binner_, n_classes_);
-  } catch (const std::exception&) {  // logic_error or out-of-range feature
-    trees_.clear();
-    return false;
-  }
+  binner_ = std::move(binner);
+  trees_ = std::move(trees);
+  flat_ = std::move(flat);
   return true;
 }
 

@@ -46,6 +46,7 @@ class RandomForestClassifier final : public Classifier {
   bool is_fitted() const noexcept override { return !trees_.empty(); }
   std::string name() const override { return "random_forest"; }
   std::size_t n_classes() const noexcept override { return n_classes_; }
+  std::size_t n_features() const noexcept { return n_features_; }
   const RandomForestConfig& config() const noexcept { return config_; }
   std::size_t tree_count() const noexcept { return trees_.size(); }
   const DecisionTree& tree(std::size_t i) const { return trees_.at(i); }

@@ -59,14 +59,14 @@ void write_header(std::ostream& out, std::uint32_t model_kind);
 /// Validate magic/version and return the model-kind tag via out-param.
 bool read_header(std::istream& in, std::uint32_t& model_kind);
 
+// All kinds live here so collisions are impossible. Tags 4 (standalone
+// flat forest) and 6 (standalone KNN index) belonged to retired formats
+// and stay reserved: reusing one would let an old file parse as a new
+// model.
 inline constexpr std::uint32_t kKindKnn = 1;
 inline constexpr std::uint32_t kKindRandomForest = 2;
 inline constexpr std::uint32_t kKindBaseline = 3;
-inline constexpr std::uint32_t kKindFlatForest = 4;
-// 5 was silently colliding with kKindFlatForest when KnnRegressor kept a
-// private tag of 4; all kinds now live here so collisions are impossible.
 inline constexpr std::uint32_t kKindKnnRegressor = 5;
-inline constexpr std::uint32_t kKindKnnIndex = 6;
 
 /// Upper bound on elements accepted for any single model vector. read_vec
 /// resizes before reading, so without a cap a crafted 8-byte length prefix

@@ -1,12 +1,12 @@
 // Shared top-k selection buffer for every KNN path (scalar scan, tiled
-// scan, regressor, and the spatial index).
+// scan, Minkowski scan and the spatial index).
 //
 // A size-k sorted insertion buffer: k is tiny (default 5) so the shift
 // is cheaper than heap bookkeeping. Candidates are ordered by the pair
 // (distance, row id) — on equal distance the *lower original row id*
 // wins. For a sequential 0..n-1 scan that is exactly the historical
 // "first-seen row wins" behaviour, and because the ordering no longer
-// depends on visit order, any traversal (tree descent, IVF cell probes)
+// depends on visit order, any traversal (such as the tree descent)
 // that considers the same candidate set produces bit-identical results.
 // This order-independence is the contract that lets knn_index prune
 // without changing predictions (DESIGN.md §11).

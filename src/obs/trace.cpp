@@ -402,55 +402,4 @@ void RequestTracer::collect_metrics(std::vector<MetricFamily>& out) const {
   }
 }
 
-Json RequestTracer::stages_json() const {
-  Json out = Json::object();
-  for (std::size_t s = 0; s < kStageCount; ++s) {
-    const StageHist& hist = stages_[s];
-    // One snapshot of the buckets for both the count (their sum — there
-    // is no separate count cell) and the quantile walk below, so the two
-    // cannot disagree about a sample that lands mid-scrape.
-    std::array<std::uint64_t, kBucketBounds.size() + 1> bucket_counts{};
-    std::uint64_t count = 0;
-    for (std::size_t b = 0; b < bucket_counts.size(); ++b) {
-      // relaxed: scrape-time reads of monotonic stat cells
-      bucket_counts[b] = hist.buckets[b].load(std::memory_order_relaxed);
-      count += bucket_counts[b];
-    }
-    const std::uint64_t sum_ns =
-        hist.sum_ns.load(std::memory_order_relaxed);  // relaxed: see above
-    Json stage = Json::object();
-    stage.set("count", static_cast<std::int64_t>(count));
-    stage.set("total_us", static_cast<double>(sum_ns) * 1e-3);
-    stage.set("mean_us",
-              count > 0 ? static_cast<double>(sum_ns) * 1e-3 / static_cast<double>(count) : 0.0);
-    // Quantiles interpolated inside the containing bucket.
-    const auto quantile_us = [&](double q) {
-      if (count == 0) return 0.0;
-      auto target = static_cast<std::uint64_t>(q * static_cast<double>(count));
-      if (target == 0) target = 1;
-      if (target > count) target = count;
-      std::uint64_t running = 0;
-      double lower = 0.0;
-      for (std::size_t b = 0; b < kBucketBounds.size(); ++b) {
-        const std::uint64_t in_bucket = bucket_counts[b];
-        if (running + in_bucket >= target) {
-          const double upper = kBucketBounds[b];
-          const double frac =
-              in_bucket == 0 ? 1.0
-                             : static_cast<double>(target - running) /
-                                   static_cast<double>(in_bucket);
-          return (lower + (upper - lower) * frac) * 1e6;
-        }
-        running += in_bucket;
-        lower = kBucketBounds[b];
-      }
-      return kBucketBounds.back() * 1e6;
-    };
-    stage.set("p50_us", quantile_us(0.50));
-    stage.set("p99_us", quantile_us(0.99));
-    out.set(stage_name(static_cast<Stage>(s)), stage);
-  }
-  return out;
-}
-
 }  // namespace mcb::obs

@@ -269,10 +269,6 @@ class RequestTracer final : public Collector {
   /// mcb_stage_llc_miss_bytes_total.
   void collect_metrics(std::vector<MetricFamily>& out) const override;
 
-  /// JSON summary of the stage histograms for the default /metrics view:
-  /// {stage: {count, total_us, p50_us, p99_us}}.
-  Json stages_json() const;
-
  private:
   // Finite bucket upper bounds in seconds for stage latencies: 1 us ..
   // 4 s in x4 steps — spans two decades around the paper's per-job

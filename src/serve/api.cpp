@@ -112,7 +112,7 @@ ApiServer::ApiServer(Framework& framework, ServerConfig server_config,
                                          counter_source_.error()))});
     }
   }
-  registry_.add(&server_.stats());
+  registry_.add(&server_);
   registry_.add(&server_.tracer());
   registry_.add(&stage_profile_);
   registry_.add(&app_collector_);
@@ -210,14 +210,10 @@ void ApiServer::collect_app_metrics(std::vector<obs::MetricFamily>& out) const {
     // grouping that drives the index speedup on batchy HPC traces.
     obs::MetricFamily index_info;
     index_info.name = "mcb_knn_index_info";
-    index_info.help = "Constant 1; KNN spatial index mode/exactness in the labels.";
+    index_info.help = "Constant 1; KNN spatial index mode in the label.";
     index_info.type = obs::MetricType::kGauge;
-    index_info.points.push_back(obs::scalar_point(
-        {{"mode", knn_index_mode_name(index_stats.mode)},
-         {"exact", index_stats.mode == KnnIndexMode::kNone || index_stats.exact
-                       ? "true"
-                       : "false"}},
-        1.0));
+    index_info.points.push_back(
+        obs::scalar_point({{"mode", knn_index_mode_name(index_stats.mode)}}, 1.0));
     out.push_back(std::move(index_info));
 
     obs::MetricFamily index_rows;
@@ -295,17 +291,19 @@ HttpResponse ApiServer::handle_readyz(const HttpRequest&) {
 }
 
 HttpResponse ApiServer::handle_metrics(const HttpRequest& request) {
-  // format=prometheus selects the text exposition; default stays JSON.
+  // One registry snapshot, two renderings: format=prometheus selects the
+  // text exposition; the default is the same families as JSON.
+  const std::vector<obs::MetricFamily> families = registry_.gather();
   for (const auto& pair : split(request.query, '&')) {
     if (pair == "format=prometheus") {
       HttpResponse response;
       response.status = 200;
       response.content_type = "text/plain; version=0.0.4; charset=utf-8";
-      response.body = obs::render_prometheus(registry_.gather());
+      response.body = obs::render_prometheus(families);
       return response;
     }
   }
-  return HttpResponse::json(200, metrics().dump());
+  return HttpResponse::json(200, obs::render_json(families).dump());
 }
 
 HttpResponse ApiServer::handle_debug_requests(const HttpRequest& request) {
@@ -360,35 +358,6 @@ HttpResponse ApiServer::handle_debug_profile(const HttpRequest& request) {
   return response;
 }
 
-Json ApiServer::metrics() const {
-  Json out = server_.stats_json();
-  const auto cache_stats = embedding_cache_.stats();
-  Json cache = Json::object();
-  cache.set("hits", static_cast<std::int64_t>(cache_stats.hits));
-  cache.set("misses", static_cast<std::int64_t>(cache_stats.misses));
-  cache.set("insertions", static_cast<std::int64_t>(cache_stats.insertions));
-  cache.set("evictions", static_cast<std::int64_t>(cache_stats.evictions));
-  cache.set("size", static_cast<std::int64_t>(embedding_cache_.size()));
-  cache.set("capacity", static_cast<std::int64_t>(embedding_cache_.capacity()));
-  cache.set("shards", static_cast<std::int64_t>(embedding_cache_.shard_count()));
-  Json batch = Json::object();
-  batch.set("requests", static_cast<std::int64_t>(batch_requests_.load()));
-  batch.set("jobs", static_cast<std::int64_t>(batch_jobs_.load()));
-  batch.set("max_batch", static_cast<std::int64_t>(batch_max_.load()));
-  Json app = Json::object();
-  app.set("embedding_cache", cache);
-  app.set("classify_batch", batch);
-  out.set("app", app);
-  out.set("stages", server_.tracer().stages_json());
-  out.set("uptime_seconds", uptime_seconds());
-  Json build = Json::object();
-  build.set("version", obs::kBuildVersion);
-  build.set("compiler", obs::build_compiler());
-  build.set("mode", obs::build_mode());
-  out.set("build", build);
-  return out;
-}
-
 HttpResponse ApiServer::handle_encode(const HttpRequest& request) {
   HttpResponse error;
   const auto job = parse_job_body(request, error);
@@ -412,10 +381,13 @@ HttpResponse ApiServer::handle_jobs(const HttpRequest& request) {
     if (eq == std::string::npos) continue;
     const std::string key = pair.substr(0, eq);
     const std::string value = pair.substr(eq + 1);
-    if (key == "from") parse_i64(value, from);
-    if (key == "to") parse_i64(value, to);
-    if (key == "limit") parse_i64(value, limit);
     if (key == "field") field = value;
+    if (key != "from" && key != "to" && key != "limit") continue;
+    std::int64_t parsed = 0;
+    if (!parse_i64(value, parsed) || parsed < 0) {
+      return error_response(400, key + " must be a non-negative integer");
+    }
+    (key == "from" ? from : key == "to" ? to : limit) = parsed;
   }
   if (to <= from) return error_response(400, "need from < to");
   if (field != "submit" && field != "end") {
@@ -482,16 +454,12 @@ HttpResponse ApiServer::handle_model_info(const HttpRequest&) {
     const KnnIndexStats* stats = model != nullptr ? model->knn_index_stats() : nullptr;
     if (stats != nullptr) {
       index_json.set("mode", knn_index_mode_name(stats->mode));
-      index_json.set("exact", stats->exact);
       index_json.set("rows", static_cast<std::int64_t>(stats->rows));
       index_json.set("unique_rows", static_cast<std::int64_t>(stats->unique_rows));
       index_json.set("nodes", static_cast<std::int64_t>(stats->nodes));
       index_json.set("leaves", static_cast<std::int64_t>(stats->leaves));
-      index_json.set("clusters", static_cast<std::int64_t>(stats->clusters));
-      index_json.set("nprobe", static_cast<std::int64_t>(stats->nprobe));
     } else {
       index_json.set("mode", "none");
-      index_json.set("exact", true);  // the scan is exact by definition
     }
     body.set("knn_index", index_json);
   }
@@ -592,10 +560,6 @@ HttpResponse ApiServer::handle_classify_batch(const HttpRequest& request) {
   // /metrics; no ordering is needed between them or with the labels.
   batch_requests_.fetch_add(1, std::memory_order_relaxed);
   batch_jobs_.fetch_add(jobs.size(), std::memory_order_relaxed);  // relaxed: see above
-  std::uint64_t prev = batch_max_.load(std::memory_order_relaxed);  // relaxed: max-tracking CAS loop
-  while (prev < jobs.size() &&
-         !batch_max_.compare_exchange_weak(prev, jobs.size(), std::memory_order_relaxed)) {
-  }
 
   Json body = Json::object();
   body.set("count", static_cast<std::int64_t>(labels.size()));

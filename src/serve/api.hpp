@@ -9,8 +9,9 @@
 //   POST /predict       -> submitted-job JSON -> {"label":"memory-bound"|...}
 //   POST /classify_batch-> {"jobs":[...]} -> {"labels":[...]} (batched fast path)
 //   POST /train         -> {"now": <epoch s>} -> training report JSON
-//   GET  /metrics       -> server-side counters + per-route latency summaries
-//                          + app section (embedding cache, batch sizes)
+//   GET  /metrics       -> the metrics registry's snapshot as JSON
+//                          (obs::render_json), or ?format=prometheus for
+//                          the same snapshot in the text exposition
 //   GET  /debug/profile -> ?seconds=N&hz=H: blocking SIGPROF capture of the
 //                          whole process; flamegraph-ready collapsed stacks
 //
@@ -58,16 +59,13 @@ class ApiServer {
   void stop() { server_.stop(); }
   int port() const noexcept { return server_.port(); }
 
-  /// The /metrics payload (also reachable without sockets): executor +
-  /// route stats from the HttpServer plus the app section (embedding
-  /// cache hit/miss/evict, classify_batch batch-size counters).
-  Json metrics() const;
-
   /// The serving-side embedding cache (exposed for tests/ops).
   ShardedEmbeddingCache& embedding_cache() noexcept { return embedding_cache_; }
 
-  /// The metrics registry (server stats + tracer + app counters); the
-  /// Prometheus exposition is render_prometheus(registry().gather()).
+  /// The metrics registry (server + tracer + stage profile + app
+  /// families), the one metrics surface: GET /metrics returns
+  /// render_json(registry().gather()), or render_prometheus of the same
+  /// snapshot for ?format=prometheus.
   const obs::Registry& registry() const noexcept { return registry_; }
 
   /// The per-request tracer owned by the underlying HttpServer.
@@ -109,7 +107,6 @@ class ApiServer {
   mutable ShardedEmbeddingCache embedding_cache_;
   std::atomic<std::uint64_t> batch_requests_{0};  ///< /classify_batch calls served
   std::atomic<std::uint64_t> batch_jobs_{0};      ///< jobs classified across them
-  std::atomic<std::uint64_t> batch_max_{0};       ///< largest single batch
 
   /// Steady-clock ns at start() (through the tracer's clock seam);
   /// 0 before the server has listened. Feeds uptime_seconds.

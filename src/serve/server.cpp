@@ -16,6 +16,7 @@
 #include <optional>
 
 #include "obs/log.hpp"
+#include "util/json.hpp"
 #include "util/net.hpp"
 #include "util/strings.hpp"
 
@@ -45,18 +46,6 @@ bool send_all(int fd, std::string_view data) {
   return true;
 }
 
-Json latency_json(const Histogram& log10_us, double sum_us, double max_us,
-                  std::uint64_t count) {
-  Json out = Json::object();
-  out.set("count", static_cast<std::int64_t>(count));
-  out.set("mean", count > 0 ? sum_us / static_cast<double>(count) : 0.0);
-  out.set("max", max_us);
-  out.set("p50", std::pow(10.0, log10_us.quantile(0.50)));
-  out.set("p90", std::pow(10.0, log10_us.quantile(0.90)));
-  out.set("p99", std::pow(10.0, log10_us.quantile(0.99)));
-  return out;
-}
-
 }  // namespace
 
 void ServerStats::record_route(const std::string& route_key, int status,
@@ -77,36 +66,7 @@ void ServerStats::record_route(const std::string& route_key, int status,
     ++rs.status_other;
   }
   rs.sum_us += us;
-  rs.max_us = std::max(rs.max_us, us);
   rs.log10_us.add(std::log10(std::max(us, 1.0)));
-}
-
-Json ServerStats::to_json() const {
-  Json out = Json::object();
-  out.set("accepted", static_cast<std::int64_t>(accepted.load()));
-  out.set("handled", static_cast<std::int64_t>(handled.load()));
-  out.set("rejected", static_cast<std::int64_t>(rejected.load()));
-  out.set("timed_out", static_cast<std::int64_t>(timed_out.load()));
-  out.set("malformed", static_cast<std::int64_t>(malformed.load()));
-
-  Json routes = Json::object();
-  {
-    MutexLock lock(mutex_);
-    for (const auto& [key, rs] : routes_) {
-      Json entry = Json::object();
-      entry.set("count", static_cast<std::int64_t>(rs.count));
-      Json status = Json::object();
-      status.set("2xx", static_cast<std::int64_t>(rs.status_2xx));
-      status.set("4xx", static_cast<std::int64_t>(rs.status_4xx));
-      status.set("5xx", static_cast<std::int64_t>(rs.status_5xx));
-      status.set("other", static_cast<std::int64_t>(rs.status_other));
-      entry.set("status", status);
-      entry.set("latency_us", latency_json(rs.log10_us, rs.sum_us, rs.max_us, rs.count));
-      routes.set(key, entry);
-    }
-  }
-  out.set("routes", routes);
-  return out;
 }
 
 void ServerStats::collect_metrics(std::vector<obs::MetricFamily>& out) const {
@@ -277,23 +237,22 @@ HttpResponse HttpServer::dispatch(const HttpRequest& request) const {
   return response;
 }
 
-Json HttpServer::stats_json() const {
-  const Json stats = stats_.to_json();
-  Json server = Json::object();
-  for (const auto& [key, value] : stats.as_object()) {
-    if (key != "routes") server.set(key, value);
+void HttpServer::collect_metrics(std::vector<obs::MetricFamily>& out) const {
+  stats_.collect_metrics(out);
+  obs::MetricFamily state;
+  state.name = "mcb_http_server_state";
+  state.help = "Reactor state: open connections, handler-queue depth, effective listen "
+               "backlog (configured value clamped to net.core.somaxconn).";
+  state.type = obs::MetricType::kGauge;
+  const std::pair<const char*, std::size_t> values[] = {
+      {"active_connections", active_connections()},
+      {"queue_depth", pool_ != nullptr ? pool_->pending() : 0},
+      {"listen_backlog", static_cast<std::size_t>(effective_backlog_)},
+  };
+  for (const auto& [kind, value] : values) {
+    state.points.push_back(obs::scalar_point({{"kind", kind}}, static_cast<double>(value)));
   }
-  server.set("active_connections", static_cast<std::int64_t>(active_connections()));
-  server.set("worker_threads", static_cast<std::int64_t>(config_.worker_threads));
-  server.set("queue_capacity", static_cast<std::int64_t>(config_.max_pending));
-  server.set("queue_depth",
-             static_cast<std::int64_t>(pool_ != nullptr ? pool_->pending() : 0));
-  server.set("listen_backlog", static_cast<std::int64_t>(effective_backlog_));
-  server.set("max_connections", static_cast<std::int64_t>(config_.max_connections));
-  Json out = Json::object();
-  out.set("server", server);
-  out.set("routes", stats["routes"]);
-  return out;
+  out.push_back(std::move(state));
 }
 
 std::size_t HttpServer::active_connections() const {

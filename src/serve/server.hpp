@@ -32,7 +32,6 @@
 #include "obs/trace.hpp"
 #include "serve/http.hpp"
 #include "util/histogram.hpp"
-#include "util/json.hpp"
 #include "util/sync.hpp"
 #include "util/thread_pool.hpp"
 #include "util/timer_wheel.hpp"
@@ -76,12 +75,12 @@ struct ServerConfig {
   int profile_hz = 97;
 };
 
-/// Server-side observability counters, exported as JSON by GET /metrics
-/// and — as an obs::Collector — in the Prometheus exposition, so there
-/// is exactly one metrics surface (DESIGN.md §10). Counter updates are
+/// Server-side request counters. HttpServer::collect_metrics exports
+/// them into the metrics registry, whose snapshot GET /metrics renders
+/// as JSON or Prometheus text (DESIGN.md §10). Counter updates are
 /// lock-free atomics; per-route latency histograms (log10 microseconds
 /// on util/histogram) take a short mutex.
-class ServerStats : public obs::Collector {
+class ServerStats {
  public:
   std::atomic<std::uint64_t> accepted{0};       ///< sockets accept()ed
   std::atomic<std::uint64_t> handled{0};        ///< responses fully written
@@ -94,13 +93,10 @@ class ServerStats : public obs::Collector {
   /// abusive path scans cannot grow the map without bound.
   void record_route(const std::string& route_key, int status, double seconds);
 
-  /// Snapshot all counters/histograms as the /metrics JSON body.
-  Json to_json() const;
-
-  /// The same counters/histograms as Prometheus families
+  /// The counters/histograms as registry families
   /// (mcb_http_connections_total, mcb_http_requests_total,
   /// mcb_http_request_duration_seconds).
-  void collect_metrics(std::vector<obs::MetricFamily>& out) const override;
+  void collect_metrics(std::vector<obs::MetricFamily>& out) const;
 
  private:
   struct RouteStats {
@@ -110,7 +106,7 @@ class ServerStats : public obs::Collector {
     /// instead of being silently folded into 2xx.
     std::uint64_t status_2xx = 0, status_4xx = 0, status_5xx = 0;
     std::uint64_t status_other = 0;
-    double sum_us = 0.0, max_us = 0.0;
+    double sum_us = 0.0;
     // log10(latency in us) over [1us, 100s) — wide enough for /train.
     Histogram log10_us{0.0, 8.0, 32};
   };
@@ -118,7 +114,7 @@ class ServerStats : public obs::Collector {
   std::map<std::string, RouteStats> routes_ MCB_GUARDED_BY(mutex_);
 };
 
-class HttpServer {
+class HttpServer : public obs::Collector {
  public:
   explicit HttpServer(ServerConfig config = {});
   ~HttpServer();
@@ -164,8 +160,9 @@ class HttpServer {
   /// stats exactly like the socket path.
   HttpResponse dispatch(const HttpRequest& request) const;
 
-  /// The /metrics payload: reactor + pool state + ServerStats snapshot.
-  Json stats_json() const;
+  /// ServerStats' families plus the mcb_http_server_state gauges: open
+  /// connections, handler-queue depth and the effective listen backlog.
+  void collect_metrics(std::vector<obs::MetricFamily>& out) const override;
 
  private:
   struct Connection;  // per-connection state machine (server.cpp)

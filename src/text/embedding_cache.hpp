@@ -51,7 +51,6 @@ class ShardedEmbeddingCache {
   explicit ShardedEmbeddingCache(std::size_t dim, EmbeddingCacheConfig config = {});
 
   std::size_t dim() const noexcept { return dim_; }
-  std::size_t shard_count() const noexcept { return shards_.size(); }
   std::size_t capacity() const noexcept { return capacity_; }
 
   /// Copy the cached embedding for `key` into `out` (size dim()) and

@@ -2,17 +2,19 @@
 // behind the PR 6 hardening: k == 0, out-of-range labels, colliding
 // kind tags, unbounded allocations).
 //
-// Properties checked on arbitrary bytes b:
-//   P1  KnnClassifier/KnnRegressor/FlatForest/KnnIndex load(b) always
+// Properties checked on arbitrary bytes b, for every format the model
+// registry reads:
+//   P1  KnnClassifier/KnnRegressor/RandomForestClassifier load(b) always
 //       returns cleanly (true/false) — never crashes, reads out of
 //       bounds, loops, or over-allocates (ASan/UBSan in CI make
 //       violations fatal; libFuzzer's malloc limit catches the rest).
 //   P2  kind tags are mutually exclusive: at most one loader accepts b
-//       (the KnnRegressor/FlatForest tag collision regression).
-//   P3  anything a loader accepts is consistent enough to run: a
-//       defensively-sized query through predict/search must not fault —
+//       (the old KnnRegressor/flat-forest tag collision regression).
+//   P3  anything a loader accepts is consistent enough to run: a zero
+//       query of the model's own width through predict must not fault —
 //       this drives the historical UB sites (empty TopK, vote() OOB,
-//       accumulate_proba feature OOB) on every accepted input.
+//       forest child/feature/leaf-table OOB, self-looping trees) on
+//       every accepted input.
 //   P4  accept → save → load: a loaded model re-serializes to a stream
 //       the same loader accepts again (loaders accept nothing they
 //       cannot round-trip).
@@ -22,11 +24,9 @@
 #include <string>
 #include <vector>
 
-#include "ml/flat_forest.hpp"
 #include "ml/knn.hpp"
-#include "ml/knn_index.hpp"
 #include "ml/knn_regressor.hpp"
-#include "ml/top_k.hpp"
+#include "ml/random_forest.hpp"
 #include "tests/fuzz_common.hpp"
 
 namespace {
@@ -87,41 +87,23 @@ int mcb_fuzz_one(const std::uint8_t* data, std::size_t size) {
 
   {
     std::istringstream in(bytes);
-    mcb::FlatForest forest;
+    mcb::RandomForestClassifier forest;
     if (forest.load(in)) {  // P1
       ++accepted;
-      check(!forest.empty() && forest.n_classes() >= 1, "P3 accepted forest is usable");
-      // min_row_width is load-bounded, so this allocation is too.
-      const std::vector<float> row(std::max<std::size_t>(forest.min_row_width(), 1), 0.0F);
-      std::vector<double> probs(forest.n_classes(), 0.0);
-      forest.accumulate_proba(row, probs.data());  // P3: traversal on file data
+      check(forest.is_fitted() && forest.n_classes() >= 1, "P3 accepted forest is usable");
+      // n_features is bounded by the binner width load() checked it against.
+      const std::vector<float> row(forest.n_features(), 0.0F);
+      const mcb::FeatureView view{row.data(), 1, row.size()};
+      const auto pred = forest.predict(view);  // P3: traversal on file data
+      check(pred.size() == 1 && pred[0] >= 0 &&
+                static_cast<std::size_t>(pred[0]) < forest.n_classes(),
+            "P3 forest prediction is a valid class");
+      check(forest.predict_scalar(view).size() == 1, "P3 scalar path walks the same trees");
       std::ostringstream out;
-      forest.save(out);
+      check(forest.save(out), "P4 accepted forest saves");
       std::istringstream again(out.str());
-      mcb::FlatForest reloaded;
+      mcb::RandomForestClassifier reloaded;
       check(reloaded.load(again), "P4 forest save/load round trip");
-    }
-  }
-
-  {
-    std::istringstream in(bytes);
-    mcb::KnnIndex index;
-    if (index.load(in)) {  // P1
-      ++accepted;
-      check(index.ready(), "P3 accepted index is ready");
-      const std::vector<float> query(index.dim(), 0.0F);
-      std::vector<std::size_t> idx;
-      std::vector<double> dist;
-      check(index.search(query, 5, idx, dist), "P3 accepted index serves finite queries");
-      for (const std::size_t row : idx) {
-        check(row == mcb::kTopKNoRow || row < index.rows(),
-              "P3 returned neighbor ids stay in range");
-      }
-      std::ostringstream out;
-      check(index.save(out), "P4 accepted index saves");
-      std::istringstream again(out.str());
-      mcb::KnnIndex reloaded;
-      check(reloaded.load(again), "P4 index save/load round trip");
     }
   }
 

@@ -562,28 +562,28 @@ TEST(Config, ParsesPartialOverrides) {
 
 TEST(Config, KnnIndexKnobsRoundTripAndValidate) {
   const auto json = Json::parse(
-      R"({"model": {"kind": "knn", "knn_index_mode": "ivf", "knn_index_min_rows": 64,
-                    "knn_index_leaf_size": 32, "knn_index_ivf_clusters": 16,
-                    "knn_index_ivf_nprobe": 4}})");
+      R"({"model": {"kind": "knn", "knn_index_mode": "none", "knn_index_min_rows": 64,
+                    "knn_index_leaf_size": 32}})");
   std::string error;
   const auto config = FrameworkConfig::from_json(*json, &error);
   ASSERT_TRUE(config.has_value()) << error;
-  EXPECT_EQ(config->knn.index.mode, KnnIndexMode::kIvfFlat);
+  EXPECT_EQ(config->knn.index.mode, KnnIndexMode::kNone);
   EXPECT_EQ(config->knn.index.min_rows, 64U);
   EXPECT_EQ(config->knn.index.leaf_size, 32U);
-  EXPECT_EQ(config->knn.index.ivf_clusters, 16U);
-  EXPECT_EQ(config->knn.index.ivf_nprobe, 4U);
 
   // to_json carries the knobs back out.
   const auto reparsed = FrameworkConfig::from_json(config->to_json(), &error);
   ASSERT_TRUE(reparsed.has_value()) << error;
-  EXPECT_EQ(reparsed->knn.index.mode, KnnIndexMode::kIvfFlat);
-  EXPECT_EQ(reparsed->knn.index.ivf_clusters, 16U);
+  EXPECT_EQ(reparsed->knn.index.mode, KnnIndexMode::kNone);
+  EXPECT_EQ(reparsed->knn.index.min_rows, 64U);
+  EXPECT_EQ(reparsed->knn.index.leaf_size, 32U);
 
-  EXPECT_FALSE(FrameworkConfig::from_json(
-                   *Json::parse(R"({"model": {"knn_index_mode": "quadtree"}})"), &error)
-                   .has_value());
-  EXPECT_NE(error.find("knn_index_mode"), std::string::npos);
+  // "ivf" named the retired approximate mode; it is an unknown mode now.
+  for (const char* mode : {"quadtree", "ivf"}) {
+    const std::string text = std::string(R"({"model": {"knn_index_mode": ")") + mode + "\"}}";
+    EXPECT_FALSE(FrameworkConfig::from_json(*Json::parse(text), &error).has_value()) << mode;
+    EXPECT_NE(error.find("knn_index_mode"), std::string::npos);
+  }
   EXPECT_FALSE(FrameworkConfig::from_json(
                    *Json::parse(R"({"model": {"knn_index_leaf_size": 0}})"), &error)
                    .has_value());

@@ -444,7 +444,13 @@ TEST(JobStore, ConcurrentReadersDuringInserts) {
           ASSERT_EQ(record->job_id, probe % kJobs);
         }
         probe += 13;
-        ASSERT_LE(store.min_end_time(), store.max_end_time());
+        // Read min before max: the store only grows, so a later max can
+        // never fall below an earlier min. Two reads inside one ASSERT
+        // are unsequenced, and a max taken first from the still-empty
+        // store (0) fails against any later min.
+        const TimePoint min_end = store.min_end_time();
+        const TimePoint max_end = store.max_end_time();
+        ASSERT_LE(min_end, max_end);
         ASSERT_LE(store.size(), kJobs);
       }
     });

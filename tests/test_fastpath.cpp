@@ -130,45 +130,6 @@ TEST(FlatForest, ParallelBlocksMatchSerial) {
   for (std::size_t i = 0; i < serial.size(); ++i) EXPECT_EQ(serial[i], parallel[i]);
 }
 
-TEST(FlatForest, SaveLoadRoundTrip) {
-  const auto train = make_random_data(250, 10, 17);
-  RandomForestClassifier rf(forest_config(18));
-  rf.fit(train.x.view(), train.y);
-
-  std::stringstream stream;
-  rf.flat().save(stream);
-  FlatForest restored;
-  ASSERT_TRUE(restored.load(stream));
-  EXPECT_EQ(restored.tree_count(), rf.flat().tree_count());
-  EXPECT_EQ(restored.node_count(), rf.flat().node_count());
-  EXPECT_EQ(restored.n_classes(), rf.flat().n_classes());
-
-  const auto queries = make_random_data(64, 10, 18);
-  std::vector<double> expected(64 * rf.flat().n_classes(), 0.0);
-  std::vector<double> actual(expected.size(), 0.0);
-  rf.flat().accumulate_proba_block(queries.x.view(), 0, 64, expected.data());
-  restored.accumulate_proba_block(queries.x.view(), 0, 64, actual.data());
-  EXPECT_EQ(expected, actual);
-}
-
-TEST(FlatForest, LoadRejectsGarbageAndTruncation) {
-  FlatForest forest;
-  std::stringstream garbage("definitely not a flat forest");
-  EXPECT_FALSE(forest.load(garbage));
-
-  const auto train = make_random_data(100, 4, 19);
-  RandomForestClassifier rf(forest_config(5));
-  rf.fit(train.x.view(), train.y);
-  std::stringstream stream;
-  rf.flat().save(stream);
-  const std::string bytes = stream.str();
-  for (const std::size_t cut : {bytes.size() / 4, bytes.size() / 2, bytes.size() - 3}) {
-    std::stringstream truncated(bytes.substr(0, cut));
-    FlatForest partial;
-    EXPECT_FALSE(partial.load(truncated)) << "accepted a stream cut at " << cut;
-  }
-}
-
 TEST(FlatForest, RandomForestLoadRebuildsFlat) {
   const auto train = make_random_data(200, 8, 21);
   RandomForestClassifier rf(forest_config(10));

@@ -1,17 +1,15 @@
-// Equivalence tests for the pruned KNN spatial index (DESIGN.md §11):
-// the bounding-box tree must return results *identical* to the scalar
+// Equivalence tests for the KNN neighbor store (DESIGN.md §11): the
+// bounding-box tree must return results *identical* to the scalar
 // reference scan — same neighbor ids, same predictions — on randomized
 // inputs and on the shapes that stress its invariants (duplicate rows
 // and equal distances, k larger than the training set, narrow dims,
-// tile boundaries, zero-extent splits, non-finite features). IVF-flat
-// must be exact when nprobe covers every cell and well-behaved when it
-// does not. Plus the KnnIndex save/load contract: round-trip identity
-// and rejection of truncated or foreign streams.
+// tile boundaries, zero-extent splits, non-finite features). Plus the
+// store's contract that search() always answers: with or without the
+// tree, for the classifier and the regressor alike.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <limits>
-#include <sstream>
 
 #include "ml/knn.hpp"
 #include "ml/knn_index.hpp"
@@ -204,45 +202,6 @@ TEST(KnnIndexTree, ParallelPredictionMatchesSerial) {
 }
 
 // ---------------------------------------------------------------------------
-// IVF-flat mode
-// ---------------------------------------------------------------------------
-
-TEST(KnnIndexIvf, ExactWhenNprobeCoversAllCells) {
-  const auto train = make_random_data(600, 6, 55);
-  const auto queries = make_random_data(60, 6, 56);
-  KnnConfig config = tree_config(5);
-  config.index.mode = KnnIndexMode::kIvfFlat;
-  config.index.ivf_clusters = 16;
-  config.index.ivf_nprobe = 1000;  // >= cells → provably exact
-  KnnClassifier knn(config);
-  knn.fit(train.x.view(), train.y);
-  ASSERT_TRUE(knn.index().ready());
-  EXPECT_TRUE(knn.index().stats().exact);
-  expect_index_matches_scalar(knn, queries.x.view());
-}
-
-TEST(KnnIndexIvf, ApproximateModeStaysReasonable) {
-  // nprobe half the cells is approximate by construction; predictions
-  // must still agree with the scan on the vast majority of separable
-  // queries (neighbors live in nearby cells).
-  const auto train = make_random_data(800, 6, 57);
-  const auto queries = make_random_data(200, 6, 58);
-  KnnConfig config = tree_config(5);
-  config.index.mode = KnnIndexMode::kIvfFlat;
-  config.index.ivf_clusters = 8;
-  config.index.ivf_nprobe = 4;
-  KnnClassifier knn(config);
-  knn.fit(train.x.view(), train.y);
-  ASSERT_TRUE(knn.index().ready());
-  EXPECT_FALSE(knn.index().stats().exact);
-  const auto fast = knn.predict(queries.x.view());
-  const auto scalar = knn.predict_scalar(queries.x.view());
-  std::size_t agree = 0;
-  for (std::size_t i = 0; i < fast.size(); ++i) agree += fast[i] == scalar[i];
-  EXPECT_GE(agree, fast.size() * 8 / 10);
-}
-
-// ---------------------------------------------------------------------------
 // Regressor on the same index
 // ---------------------------------------------------------------------------
 
@@ -276,92 +235,57 @@ TEST(KnnIndexRegressor, IndexedPredictionsMatchScanBitwise) {
 }
 
 // ---------------------------------------------------------------------------
-// KnnIndex persistence
+// The store answers every query
 // ---------------------------------------------------------------------------
 
-TEST(KnnIndexIo, SaveLoadRoundTripIsSearchIdentical) {
-  for (const KnnIndexMode mode : {KnnIndexMode::kBoundTree, KnnIndexMode::kIvfFlat}) {
-    const auto train = make_duplicate_data(700, 5, 90, 101);
-    KnnIndexConfig config;
-    config.mode = mode;
-    config.min_rows = 1;
-    config.leaf_size = 8;
-    config.ivf_clusters = 8;
-    KnnIndex index;
-    ASSERT_TRUE(index.build(train.x.view(), config));
-    std::stringstream stream;
-    ASSERT_TRUE(index.save(stream));
-    KnnIndex loaded;
-    ASSERT_TRUE(loaded.load(stream));
+TEST(KnnIndexStore, SearchAnswersWithAndWithoutTree) {
+  // One matrix stored twice, with the tree and scan-only: search() must
+  // answer on both and agree slot for slot, distances included.
+  const auto train = make_duplicate_data(300, 4, 40, 115);
+  KnnIndexConfig tree;
+  tree.min_rows = 1;
+  tree.leaf_size = 8;
+  KnnIndexConfig scan = tree;
+  scan.mode = KnnIndexMode::kNone;
+  KnnIndex indexed;
+  KnnIndex scanned;
+  indexed.build(train.x.view(), tree);
+  scanned.build(train.x.view(), scan);
+  ASSERT_TRUE(indexed.ready());
+  ASSERT_FALSE(scanned.ready());
+  EXPECT_EQ(scanned.rows(), 300U);
+  EXPECT_EQ(scanned.dim(), 4U);
 
-    EXPECT_EQ(loaded.stats().rows, index.stats().rows);
-    EXPECT_EQ(loaded.stats().unique_rows, index.stats().unique_rows);
-    EXPECT_EQ(loaded.stats().nodes, index.stats().nodes);
-    EXPECT_EQ(loaded.stats().clusters, index.stats().clusters);
-
-    const auto queries = make_random_data(40, 5, 102);
-    std::vector<std::size_t> idx_a, idx_b;
-    std::vector<double> dist_a, dist_b;
-    for (std::size_t i = 0; i < 40; ++i) {
-      ASSERT_TRUE(index.search(queries.x.view().row(i), 5, idx_a, dist_a));
-      ASSERT_TRUE(loaded.search(queries.x.view().row(i), 5, idx_b, dist_b));
-      EXPECT_EQ(idx_a, idx_b) << "query " << i;
-      EXPECT_EQ(dist_a, dist_b) << "query " << i;
-    }
+  const auto queries = make_random_data(30, 4, 116);
+  std::vector<std::size_t> idx_a, idx_b;
+  std::vector<double> dist_a, dist_b;
+  for (std::size_t i = 0; i < 30; ++i) {
+    indexed.search(queries.x.view().row(i), 5, 2.0, idx_a, dist_a);
+    scanned.search(queries.x.view().row(i), 5, 2.0, idx_b, dist_b);
+    ASSERT_EQ(idx_a.size(), 5U);
+    EXPECT_EQ(idx_a, idx_b) << "query " << i;
+    EXPECT_EQ(dist_a, dist_b) << "query " << i;
   }
 }
 
-TEST(KnnIndexIo, RejectsTruncatedStreams) {
-  const auto train = make_random_data(200, 4, 111);
+TEST(KnnIndexStore, EmptyRequestsRankNothing) {
+  // k == 0 and an empty store both answer with no slots rather than
+  // ranking into a zero-length buffer.
+  const auto train = make_random_data(50, 2, 117);
   KnnIndexConfig config;
   config.min_rows = 1;
   KnnIndex index;
-  ASSERT_TRUE(index.build(train.x.view(), config));
-  std::stringstream stream;
-  ASSERT_TRUE(index.save(stream));
-  const std::string bytes = stream.str();
-  for (std::size_t cut = 0; cut < bytes.size(); cut += 97) {
-    std::stringstream in(bytes.substr(0, cut));
-    KnnIndex loaded;
-    EXPECT_FALSE(loaded.load(in)) << "cut at " << cut;
-    EXPECT_FALSE(loaded.ready());
-  }
-}
+  index.build(train.x.view(), config);
+  std::vector<std::size_t> idx{1, 2};
+  std::vector<double> dist{1.0, 2.0};
+  index.search(train.x.view().row(0), 0, 2.0, idx, dist);
+  EXPECT_TRUE(idx.empty());
+  EXPECT_TRUE(dist.empty());
 
-TEST(KnnIndexIo, RejectsForeignAndGarbageStreams) {
-  {
-    std::stringstream in("definitely not a model");
-    KnnIndex index;
-    EXPECT_FALSE(index.load(in));
-  }
-  {
-    // A valid *classifier* stream must be rejected at the kind tag.
-    const auto train = make_random_data(50, 3, 113);
-    KnnClassifier knn;
-    knn.fit(train.x.view(), train.y);
-    std::stringstream stream;
-    ASSERT_TRUE(knn.save(stream));
-    KnnIndex index;
-    EXPECT_FALSE(index.load(stream));
-  }
-}
-
-TEST(KnnIndexIo, SearchContractOnUnreadyOrBadInput) {
-  KnnIndex index;
-  std::vector<std::size_t> idx;
-  std::vector<double> dist;
-  const std::vector<float> query{1.0F, 2.0F};
-  EXPECT_FALSE(index.search(query, 5, idx, dist)) << "unbuilt index";
-
-  const auto train = make_random_data(100, 2, 115);
-  KnnIndexConfig config;
-  config.min_rows = 1;
-  ASSERT_TRUE(index.build(train.x.view(), config));
-  EXPECT_FALSE(index.search(query, 0, idx, dist)) << "k == 0";
-  const std::vector<float> wrong_dim{1.0F, 2.0F, 3.0F};
-  EXPECT_FALSE(index.search(wrong_dim, 5, idx, dist)) << "dimension mismatch";
-  EXPECT_TRUE(index.search(query, 5, idx, dist));
-  EXPECT_EQ(idx.size(), 5U);
+  const KnnIndex empty;
+  empty.search({}, 5, 2.0, idx, dist);
+  EXPECT_TRUE(idx.empty());
+  EXPECT_EQ(empty.rows(), 0U);
 }
 
 }  // namespace

@@ -3,13 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <numeric>
 #include <sstream>
 
 #include "ml/baseline.hpp"
 #include "ml/decision_tree.hpp"
-#include "ml/flat_forest.hpp"
 #include "ml/knn.hpp"
 #include "ml/knn_regressor.hpp"
 #include "ml/metrics.hpp"
@@ -307,7 +307,7 @@ TEST(DecisionTree, SaveLoadPredictsIdentically) {
   std::stringstream stream;
   tree.save(stream);
   DecisionTree loaded;
-  ASSERT_TRUE(loaded.load(stream));
+  ASSERT_TRUE(loaded.load(stream, 4));
   EXPECT_EQ(loaded.node_count(), tree.node_count());
   for (std::size_t i = 0; i < 300; ++i) {
     std::uint8_t row_codes[4];
@@ -425,6 +425,8 @@ TEST(Knn, DimensionMismatchThrows) {
   knn.fit(x.view(), {std::vector<Label>{0, 1}});
   FeatureMatrix bad(1, 2);
   EXPECT_THROW(knn.predict(bad.view()), std::invalid_argument);
+  EXPECT_THROW(knn.kneighbors(bad.view().row(0)), std::invalid_argument);
+  EXPECT_THROW(knn.kneighbors_scalar(bad.view().row(0)), std::invalid_argument);
 }
 
 TEST(Knn, ParallelPredictionMatchesSerial) {
@@ -584,11 +586,11 @@ TEST(ModelFiles, TruncatedStreamsFailCleanly) {
   std::stringstream full;
   ASSERT_TRUE(forest.save(full));
   const std::string bytes = full.str();
-  for (const double frac : {0.0, 0.1, 0.5, 0.9, 0.99}) {
-    std::stringstream cut(bytes.substr(0, static_cast<std::size_t>(
-                                              frac * static_cast<double>(bytes.size()))));
+  for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
+    std::stringstream prefix(bytes.substr(0, cut));
     RandomForestClassifier loaded;
-    EXPECT_FALSE(loaded.load(cut)) << "fraction " << frac;
+    EXPECT_FALSE(loaded.load(prefix)) << "cut at " << cut;
+    EXPECT_FALSE(loaded.is_fitted()) << "cut at " << cut;
   }
 
   KnnClassifier knn;
@@ -780,22 +782,35 @@ TEST(ModelHardening, RegressorRejectsNonCanonicalBoolByte) {
   EXPECT_FALSE(reg.load(in));
 }
 
-TEST(ModelHardening, RegressorAndFlatForestKindsNoLongerCollide) {
-  // KnnRegressor used to keep a private kind tag of 4 — the same value
-  // as kKindFlatForest — so each model's loader would happily start
-  // parsing the other's payload. Both directions must now be rejected
-  // at the header.
+TEST(ModelHardening, KindTagsAreExclusive) {
+  // KnnRegressor used to keep a private kind tag of 4, the tag of the
+  // since-retired standalone flat-forest format, so two loaders would
+  // both start parsing one payload. Every loader now rejects the others'
+  // streams at the header, and nothing accepts a retired tag.
   const std::vector<float> data{0.0F, 1.0F};
   const std::vector<double> targets{10.0, 20.0};
-  KnnRegressor reg;
+  const std::string reg_bytes = craft_knn_regressor(1, 0, 1, data, targets);
   {
-    std::stringstream stream(craft_knn_regressor(1, 0, 1, data, targets));
-    ASSERT_TRUE(reg.load(stream));
+    std::stringstream in(reg_bytes);
+    KnnClassifier knn;
+    EXPECT_FALSE(knn.load(in));
   }
-  std::stringstream reg_bytes;
-  ASSERT_TRUE(reg.save(reg_bytes));
-  FlatForest forest;
-  EXPECT_FALSE(forest.load(reg_bytes));
+  {
+    std::stringstream in(reg_bytes);
+    RandomForestClassifier forest;
+    EXPECT_FALSE(forest.load(in));
+  }
+  for (const std::uint32_t retired : {4U, 6U}) {
+    std::string bytes = reg_bytes;
+    std::memcpy(bytes.data() + 2 * sizeof(std::uint32_t), &retired, sizeof(retired));
+    std::stringstream as_reg(bytes), as_knn(bytes), as_forest(bytes);
+    KnnRegressor reg;
+    KnnClassifier knn;
+    RandomForestClassifier forest;
+    EXPECT_FALSE(reg.load(as_reg)) << "kind " << retired;
+    EXPECT_FALSE(knn.load(as_knn)) << "kind " << retired;
+    EXPECT_FALSE(forest.load(as_forest)) << "kind " << retired;
+  }
 }
 
 TEST(ModelHardening, RegressorTruncatedStreamsFailCleanly) {
@@ -813,6 +828,110 @@ TEST(ModelHardening, RegressorTruncatedStreamsFailCleanly) {
     EXPECT_FALSE(reg.load(in)) << "cut at " << cut;
     EXPECT_FALSE(reg.is_fitted());
   }
+}
+
+/// A one-tree, two-class forest stream laid out field by field like
+/// RandomForestClassifier::save: header, counts, a binner with the
+/// single edge 0.5 per feature (`binner_width` features, normally
+/// n_features), then the tree's class count, nodes and leaf table.
+std::string craft_random_forest(std::uint64_t n_features,
+                                const std::vector<DecisionTree::Node>& nodes,
+                                const std::vector<float>& proba,
+                                std::uint64_t binner_width = 0) {
+  if (binner_width == 0) binner_width = n_features;
+  const std::uint64_t n_classes = 2;
+  std::stringstream out;
+  io::write_header(out, io::kKindRandomForest);
+  io::write_pod(out, n_classes);
+  io::write_pod(out, n_features);
+  io::write_pod(out, std::uint64_t{1});
+  io::write_pod(out, binner_width);
+  for (std::uint64_t f = 0; f < binner_width; ++f) {
+    io::write_vec(out, std::vector<float>{0.5F});
+  }
+  io::write_pod(out, n_classes);
+  io::write_vec(out, nodes);
+  io::write_vec(out, proba);
+  return out.str();
+}
+
+/// A stump on feature 0: x <= 0.5 goes to the class-0 leaf, else class 1.
+std::vector<DecisionTree::Node> stump_nodes() {
+  std::vector<DecisionTree::Node> nodes(3);  // leaves by default
+  nodes[0].left = 1;
+  nodes[0].right = 2;
+  nodes[2].proba_offset = 2;
+  return nodes;
+}
+
+const std::vector<float> kStumpProba{1.0F, 0.0F, 0.0F, 1.0F};
+
+void expect_forest_rejected(const std::string& bytes) {
+  std::stringstream in(bytes);
+  RandomForestClassifier forest;
+  EXPECT_FALSE(forest.load(in));
+  EXPECT_FALSE(forest.is_fitted());
+}
+
+TEST(ModelHardening, CraftedForestStreamMatchesSaveFormat) {
+  // Canary for the rejection tests below: the valid stump loads, both
+  // inference paths walk it, and it re-saves to the same bytes.
+  const std::string bytes = craft_random_forest(1, stump_nodes(), kStumpProba);
+  std::stringstream in(bytes);
+  RandomForestClassifier forest;
+  ASSERT_TRUE(forest.load(in));
+  const std::vector<float> rows{0.0F, 1.0F};
+  const FeatureView view{rows.data(), 2, 1};
+  EXPECT_EQ(forest.predict(view), (std::vector<Label>{0, 1}));
+  EXPECT_EQ(forest.predict_scalar(view), (std::vector<Label>{0, 1}));
+  std::stringstream resaved;
+  ASSERT_TRUE(forest.save(resaved));
+  EXPECT_EQ(resaved.str(), bytes);
+}
+
+TEST(ModelHardening, ForestRejectsChildPastNodePool) {
+  auto nodes = stump_nodes();
+  nodes[0].right = 5;  // the pool has 3 nodes
+  expect_forest_rejected(craft_random_forest(1, nodes, kStumpProba));
+}
+
+TEST(ModelHardening, ForestRejectsSplitFeatureOutsideRow) {
+  // A 1-feature model splitting on column 1, with a binner wide enough
+  // to resolve the split: predict would read past every query row.
+  auto nodes = stump_nodes();
+  nodes[0].feature = 1;
+  expect_forest_rejected(craft_random_forest(1, nodes, kStumpProba, /*binner_width=*/2));
+
+  // The tree loader checks the column against the row width itself.
+  std::stringstream tree_bytes;
+  io::write_pod(tree_bytes, std::uint64_t{2});
+  io::write_vec(tree_bytes, nodes);
+  io::write_vec(tree_bytes, kStumpProba);
+  const std::string bytes = tree_bytes.str();
+  DecisionTree tree;
+  std::stringstream narrow(bytes);
+  EXPECT_FALSE(tree.load(narrow, 1));
+  EXPECT_FALSE(tree.is_fitted());
+  std::stringstream wide(bytes);
+  EXPECT_TRUE(tree.load(wide, 2));
+}
+
+TEST(ModelHardening, ForestRejectsLeafOutsideProbaTable) {
+  auto nodes = stump_nodes();
+  nodes[2].proba_offset = 100000;
+  expect_forest_rejected(craft_random_forest(1, nodes, kStumpProba));
+}
+
+TEST(ModelHardening, ForestRejectsNodeThatIsItsOwnChild) {
+  auto nodes = stump_nodes();
+  nodes[0].left = 0;  // traversal would never leave the root
+  expect_forest_rejected(craft_random_forest(1, nodes, kStumpProba));
+}
+
+TEST(ModelHardening, ForestRejectsBinnerWidthMismatch) {
+  // Rows are n_features wide and the scalar path bins every column, so a
+  // binner narrower than the row would fault there.
+  expect_forest_rejected(craft_random_forest(2, stump_nodes(), kStumpProba, /*binner_width=*/1));
 }
 
 TEST(RandomForest, EmptyTrainingThrows) {

@@ -8,10 +8,12 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <filesystem>
 #include <future>
+#include <map>
 #include <thread>
 
 #include "serve/api.hpp"
@@ -64,6 +66,55 @@ int parse_status(const std::string& wire) {
   const std::size_t sp = wire.find(' ');
   if (sp == std::string::npos) return -1;
   return std::atoi(wire.c_str() + sp + 1);
+}
+
+// ------------------------------------------------- rendered metrics
+//
+// Metric assertions read the registry families exactly as GET /metrics
+// renders them (obs::render_json): {family: {type, help, points: [...]}}.
+
+/// A bare server's families, rendered like the /metrics JSON body.
+Json rendered_metrics(const HttpServer& server) {
+  std::vector<obs::MetricFamily> families;
+  server.collect_metrics(families);
+  return obs::render_json(families);
+}
+
+/// The point of `family` whose labels are exactly `labels`, or nullptr.
+const Json* find_point(const Json& metrics, const std::string& family,
+                       const obs::LabelSet& labels) {
+  for (const Json& point : metrics[family]["points"].as_array()) {
+    const JsonObject& have = point["labels"].as_object();
+    bool match = have.size() == labels.size();
+    for (const auto& [key, value] : labels) {
+      match = match && point["labels"][key].as_string() == value;
+    }
+    if (match) return &point;
+  }
+  return nullptr;
+}
+
+/// A counter/gauge value; 0 when the series is absent (the request
+/// counters omit zero status classes).
+double metric_value(const Json& metrics, const std::string& family,
+                    const obs::LabelSet& labels = {}) {
+  const Json* point = find_point(metrics, family, labels);
+  return point != nullptr ? (*point)["value"].as_double() : 0.0;
+}
+
+/// Requests a route recorded: its latency histogram's sample count.
+std::int64_t route_count(const Json& metrics, const std::string& route) {
+  const Json* point = find_point(metrics, "mcb_http_request_duration_seconds", {{"route", route}});
+  return point != nullptr ? (*point)["count"].as_int() : 0;
+}
+
+/// Requests of one status class on a route.
+double route_class(const Json& metrics, const std::string& route, const std::string& cls) {
+  return metric_value(metrics, "mcb_http_requests_total", {{"route", route}, {"class", cls}});
+}
+
+double connections(const Json& metrics, const std::string& event) {
+  return metric_value(metrics, "mcb_http_connections_total", {{"event", event}});
 }
 
 // ------------------------------------------------------------- parsing
@@ -393,15 +444,15 @@ TEST(HttpServer, StatsCountersAndMetricsJson) {
   EXPECT_GE(server.stats().accepted.load(), 4U);
   EXPECT_GE(server.stats().handled.load(), 4U);
 
-  const Json metrics = server.stats_json();
-  EXPECT_GE(metrics["server"]["accepted"].as_int(), 4);
-  EXPECT_EQ(metrics["server"]["worker_threads"].as_int(), 8);
-  const Json& route = metrics["routes"]["GET /n"];
-  EXPECT_EQ(route["count"].as_int(), 3);
-  EXPECT_EQ(route["status"]["2xx"].as_int(), 3);
-  EXPECT_GT(route["latency_us"]["p50"].as_double(), 0.0);
-  EXPECT_GT(route["latency_us"]["max"].as_double(), 0.0);
-  EXPECT_EQ(metrics["routes"]["(unmatched)"]["count"].as_int(), 1);
+  const Json metrics = rendered_metrics(server);
+  EXPECT_GE(connections(metrics, "accepted"), 4.0);
+  EXPECT_EQ(route_count(metrics, "GET /n"), 3);
+  EXPECT_EQ(route_class(metrics, "GET /n", "2xx"), 3.0);
+  const Json* latency =
+      find_point(metrics, "mcb_http_request_duration_seconds", {{"route", "GET /n"}});
+  ASSERT_NE(latency, nullptr);
+  EXPECT_GT((*latency)["sum"].as_double(), 0.0);
+  EXPECT_EQ(route_count(metrics, "(unmatched)"), 1);
 }
 
 TEST(HttpServer, StatusClassesPartitionRouteCounts) {
@@ -417,15 +468,13 @@ TEST(HttpServer, StatusClassesPartitionRouteCounts) {
   HttpRequest redirect{"GET", "/redirect", "", {}, ""};
   EXPECT_EQ(server.dispatch(redirect).status, 302);
 
-  const Json metrics = server.stats_json();
-  const Json& boom_route = metrics["routes"]["GET /boom"];
-  EXPECT_EQ(boom_route["count"].as_int(), 1);
-  EXPECT_EQ(boom_route["status"]["5xx"].as_int(), 1);
-  EXPECT_EQ(boom_route["status"]["2xx"].as_int(), 0);
-  const Json& redirect_route = metrics["routes"]["GET /redirect"];
-  EXPECT_EQ(redirect_route["count"].as_int(), 1);
-  EXPECT_EQ(redirect_route["status"]["other"].as_int(), 1);
-  EXPECT_EQ(redirect_route["status"]["2xx"].as_int(), 0);
+  const Json metrics = rendered_metrics(server);
+  EXPECT_EQ(route_count(metrics, "GET /boom"), 1);
+  EXPECT_EQ(route_class(metrics, "GET /boom", "5xx"), 1.0);
+  EXPECT_EQ(route_class(metrics, "GET /boom", "2xx"), 0.0);
+  EXPECT_EQ(route_count(metrics, "GET /redirect"), 1);
+  EXPECT_EQ(route_class(metrics, "GET /redirect", "other"), 1.0);
+  EXPECT_EQ(route_class(metrics, "GET /redirect", "2xx"), 0.0);
   // A handler failure is a dispatched request, not a protocol error.
   EXPECT_EQ(server.stats().malformed.load(), 0U);
 }
@@ -443,9 +492,9 @@ TEST(HttpServer, ThrowingHandlerCountsExactlyOnceOverSocket) {
 
   EXPECT_EQ(server.stats().malformed.load(), 0U);
   EXPECT_EQ(server.stats().handled.load(), 1U);
-  const Json metrics = server.stats_json();
-  EXPECT_EQ(metrics["routes"]["GET /boom"]["count"].as_int(), 1);
-  EXPECT_EQ(metrics["routes"]["GET /boom"]["status"]["5xx"].as_int(), 1);
+  const Json metrics = rendered_metrics(server);
+  EXPECT_EQ(route_count(metrics, "GET /boom"), 1);
+  EXPECT_EQ(route_class(metrics, "GET /boom", "5xx"), 1.0);
 }
 
 TEST(HttpServer, OversizedRequestIsMalformedOnlyNotARoute) {
@@ -464,8 +513,13 @@ TEST(HttpServer, OversizedRequestIsMalformedOnlyNotARoute) {
   server.stop();
 
   EXPECT_EQ(server.stats().malformed.load(), 1U);
-  const Json metrics = server.stats_json();
-  EXPECT_FALSE(metrics["routes"].contains("POST /n"));
+  const Json metrics = rendered_metrics(server);
+  EXPECT_EQ(connections(metrics, "malformed"), 1.0);
+  EXPECT_EQ(find_point(metrics, "mcb_http_request_duration_seconds", {{"route", "POST /n"}}),
+            nullptr);
+  for (const Json& point : metrics["mcb_http_requests_total"]["points"].as_array()) {
+    EXPECT_NE(point["labels"]["route"].as_string(), "POST /n");
+  }
 }
 
 // --------------------------------------------- reactor-specific behavior
@@ -642,10 +696,9 @@ TEST(HttpReactor, BacklogIsConfigurableAndClampReported) {
   // kernel's somaxconn — never zero, never above the request.
   EXPECT_GT(server.effective_backlog(), 0);
   EXPECT_LE(server.effective_backlog(), config.listen_backlog);
-  const Json metrics = server.stats_json();
-  EXPECT_EQ(metrics["server"]["listen_backlog"].as_int(), server.effective_backlog());
-  EXPECT_EQ(metrics["server"]["max_connections"].as_int(),
-            static_cast<std::int64_t>(config.max_connections));
+  const Json metrics = rendered_metrics(server);
+  EXPECT_EQ(metric_value(metrics, "mcb_http_server_state", {{"kind", "listen_backlog"}}),
+            static_cast<double>(server.effective_backlog()));
   server.stop();
 }
 
@@ -835,14 +888,13 @@ TEST_F(ApiTest, ClassifyBatchFlow) {
   EXPECT_EQ(call("POST", "/classify_batch", batch).status, 200);
   const auto metrics = Json::parse(call("GET", "/metrics").body);
   ASSERT_TRUE(metrics.has_value());
-  const Json& cache = (*metrics)["app"]["embedding_cache"];
-  EXPECT_EQ(cache["hits"].as_int(), 3);    // the repeated batch
-  EXPECT_EQ(cache["misses"].as_int(), 3);  // first batch, duplicate included
-  EXPECT_EQ(cache["size"].as_int(), 2);    // two distinct canonical strings
-  const Json& counters = (*metrics)["app"]["classify_batch"];
-  EXPECT_EQ(counters["requests"].as_int(), 2);
-  EXPECT_EQ(counters["jobs"].as_int(), 6);
-  EXPECT_EQ(counters["max_batch"].as_int(), 3);
+  // The repeated batch hits; the first batch missed, duplicate included;
+  // two distinct canonical strings remain cached.
+  EXPECT_EQ(metric_value(*metrics, "mcb_embedding_cache_ops_total", {{"op", "hit"}}), 3.0);
+  EXPECT_EQ(metric_value(*metrics, "mcb_embedding_cache_ops_total", {{"op", "miss"}}), 3.0);
+  EXPECT_EQ(metric_value(*metrics, "mcb_embedding_cache_entries", {{"kind", "current"}}), 2.0);
+  EXPECT_EQ(metric_value(*metrics, "mcb_classify_batch_requests_total"), 2.0);
+  EXPECT_EQ(metric_value(*metrics, "mcb_classify_batch_jobs_total"), 6.0);
 }
 
 TEST_F(ApiTest, PredictSharesEmbeddingCacheWithBatch) {
@@ -853,8 +905,9 @@ TEST_F(ApiTest, PredictSharesEmbeddingCacheWithBatch) {
   EXPECT_EQ(call("POST", "/predict", job).status, 200);
   EXPECT_EQ(call("POST", "/predict", job).status, 200);
   const auto metrics = Json::parse(call("GET", "/metrics").body);
-  EXPECT_GE((*metrics)["app"]["embedding_cache"]["hits"].as_int(), 1);
-  EXPECT_EQ((*metrics)["app"]["embedding_cache"]["misses"].as_int(), 1);
+  ASSERT_TRUE(metrics.has_value());
+  EXPECT_GE(metric_value(*metrics, "mcb_embedding_cache_ops_total", {{"op", "hit"}}), 1.0);
+  EXPECT_EQ(metric_value(*metrics, "mcb_embedding_cache_ops_total", {{"op", "miss"}}), 1.0);
 }
 
 TEST_F(ApiTest, TrainEmptyWindowIs409) {
@@ -901,7 +954,6 @@ TEST_F(ApiTest, ModelInfoReportsKnnIndexState) {
   const auto scan_info = Json::parse(call("GET", "/model/info").body);
   ASSERT_TRUE(scan_info->contains("knn_index"));
   EXPECT_EQ((*scan_info)["knn_index"]["mode"].as_string(), "none");
-  EXPECT_TRUE((*scan_info)["knn_index"]["exact"].as_bool(false));
 
   // Lowering min_rows (the knn_index_min_rows config knob) flips the
   // same deployment to the bounding-box tree, and the stats follow.
@@ -920,7 +972,6 @@ TEST_F(ApiTest, ModelInfoReportsKnnIndexState) {
   const auto tree_info = Json::parse(indexed_api.dispatch(info).body);
   ASSERT_TRUE(tree_info->contains("knn_index"));
   EXPECT_EQ((*tree_info)["knn_index"]["mode"].as_string(), "tree");
-  EXPECT_TRUE((*tree_info)["knn_index"]["exact"].as_bool(false));
   EXPECT_EQ((*tree_info)["knn_index"]["rows"].as_int(), 60);
   EXPECT_GE((*tree_info)["knn_index"]["unique_rows"].as_int(), 1);
   EXPECT_LE((*tree_info)["knn_index"]["unique_rows"].as_int(), 60);
@@ -967,12 +1018,32 @@ TEST_F(ApiTest, JobsRangeEndpoint) {
   EXPECT_EQ(api_->dispatch(request).status, 400);
 }
 
+TEST_F(ApiTest, JobsRejectsMalformedNumbers) {
+  // An unparsable or negative number is a 400, not a silent default:
+  // from=abc used to query from epoch 0 and limit=-1 to return every job.
+  HttpRequest request;
+  request.method = "GET";
+  request.path = "/jobs";
+  for (const char* query :
+       {"from=abc&to=99999999999", "from=0&to=9x", "from=0&to=99999999999&limit=-1",
+        "from=-5&to=99999999999", "from=0&to=99999999999&limit=", "from=0&to=99999999999&limit=ten"}) {
+    request.query = query;
+    const auto response = api_->dispatch(request);
+    EXPECT_EQ(response.status, 400) << query;
+    EXPECT_NE(response.body.find("non-negative integer"), std::string::npos) << query;
+  }
+  request.query = "from=0&to=99999999999&limit=0";
+  const auto response = api_->dispatch(request);
+  ASSERT_EQ(response.status, 200);
+  EXPECT_EQ((*Json::parse(response.body))["jobs"].size(), 0U);
+}
+
 TEST_F(ApiTest, MetricsEndpointCountsRequests) {
   const auto before = call("GET", "/metrics");
   EXPECT_EQ(before.status, 200);
   const auto before_json = Json::parse(before.body);
   ASSERT_TRUE(before_json.has_value());
-  EXPECT_TRUE((*before_json)["server"].is_object());
+  EXPECT_EQ((*before_json)["mcb_http_connections_total"]["type"].as_string(), "counter");
 
   call("GET", "/health");
   call("GET", "/health");
@@ -980,13 +1051,70 @@ TEST_F(ApiTest, MetricsEndpointCountsRequests) {
 
   const auto after_json = Json::parse(call("GET", "/metrics").body);
   ASSERT_TRUE(after_json.has_value());
-  const Json& health = (*after_json)["routes"]["GET /health"];
-  EXPECT_EQ(health["count"].as_int(), 2);
-  EXPECT_EQ(health["status"]["2xx"].as_int(), 2);
-  EXPECT_GE(health["latency_us"]["mean"].as_double(), 0.0);
-  EXPECT_EQ((*after_json)["routes"]["POST /predict"]["status"]["4xx"].as_int(), 1);
+  EXPECT_EQ(route_count(*after_json, "GET /health"), 2);
+  EXPECT_EQ(route_class(*after_json, "GET /health", "2xx"), 2.0);
+  const Json* latency = find_point(*after_json, "mcb_http_request_duration_seconds",
+                                   {{"route", "GET /health"}});
+  ASSERT_NE(latency, nullptr);
+  EXPECT_GE((*latency)["sum"].as_double(), 0.0);
+  EXPECT_EQ(route_class(*after_json, "POST /predict", "4xx"), 1.0);
   // The metrics route observes itself too.
-  EXPECT_GE((*after_json)["routes"]["GET /metrics"]["count"].as_int(), 1);
+  EXPECT_GE(route_count(*after_json, "GET /metrics"), 1);
+}
+
+TEST_F(ApiTest, JsonAndPrometheusRenderOneSurface) {
+  // One server scraped in both formats: the JSON body and the text
+  // exposition carry the same families, and each route's request
+  // counter (summed over status classes) agrees with its latency
+  // histogram's count in both.
+  call("GET", "/health");
+  call("GET", "/healthz");
+  call("POST", "/predict", "{not json");
+  call("GET", "/no-such-endpoint");
+  const auto json = Json::parse(call("GET", "/metrics").body);
+  ASSERT_TRUE(json.has_value());
+  HttpRequest request;
+  request.method = "GET";
+  request.path = "/metrics";
+  request.query = "format=prometheus";
+  const std::string text = api_->dispatch(request).body;
+
+  std::vector<std::string> json_names;
+  for (const auto& [name, family] : json->as_object()) json_names.push_back(name);
+  std::vector<std::string> prom_names;
+  std::map<std::string, double> prom_requests;
+  std::map<std::string, double> prom_counts;
+  const auto route_of = [](const std::string& line) {
+    const std::size_t at = line.find("route=\"") + 7;
+    return line.substr(at, line.find('"', at) - at);
+  };
+  for (const std::string& line : split(text, '\n')) {
+    if (starts_with(line, "# TYPE ")) {
+      prom_names.push_back(line.substr(7, line.find(' ', 7) - 7));
+    } else if (starts_with(line, "mcb_http_requests_total{")) {
+      prom_requests[route_of(line)] += std::stod(line.substr(line.rfind(' ') + 1));
+    } else if (starts_with(line, "mcb_http_request_duration_seconds_count{")) {
+      prom_counts[route_of(line)] = std::stod(line.substr(line.rfind(' ') + 1));
+    }
+  }
+  std::sort(prom_names.begin(), prom_names.end());
+  EXPECT_EQ(json_names, prom_names);
+
+  std::map<std::string, double> json_requests;
+  for (const Json& point : (*json)["mcb_http_requests_total"]["points"].as_array()) {
+    json_requests[point["labels"]["route"].as_string()] += point["value"].as_double();
+  }
+  std::map<std::string, double> json_counts;
+  for (const Json& point : (*json)["mcb_http_request_duration_seconds"]["points"].as_array()) {
+    json_counts[point["labels"]["route"].as_string()] = point["count"].as_double();
+  }
+  EXPECT_EQ(json_requests, json_counts);
+  EXPECT_EQ(prom_requests, prom_counts);
+  // Both snapshots saw every route driven above.
+  for (const char* route : {"GET /health", "GET /healthz", "POST /predict", "(unmatched)"}) {
+    EXPECT_EQ(json_counts[route], 1.0) << route;
+    EXPECT_EQ(prom_counts[route], 1.0) << route;
+  }
 }
 
 TEST_F(ApiTest, OversizedBatchIs413CountedOnce) {
@@ -1003,10 +1131,9 @@ TEST_F(ApiTest, OversizedBatchIs413CountedOnce) {
 
   const auto metrics = Json::parse(call("GET", "/metrics").body);
   ASSERT_TRUE(metrics.has_value());
-  const Json& route = (*metrics)["routes"]["POST /classify_batch"];
-  EXPECT_EQ(route["count"].as_int(), 1);
-  EXPECT_EQ(route["status"]["4xx"].as_int(), 1);
-  EXPECT_EQ((*metrics)["server"]["malformed"].as_int(), 0);
+  EXPECT_EQ(route_count(*metrics, "POST /classify_batch"), 1);
+  EXPECT_EQ(route_class(*metrics, "POST /classify_batch", "4xx"), 1.0);
+  EXPECT_EQ(connections(*metrics, "malformed"), 0.0);
 }
 
 TEST_F(ApiTest, HealthzReadyzLifecycle) {
@@ -1027,9 +1154,14 @@ TEST_F(ApiTest, HealthzReadyzLifecycle) {
 TEST_F(ApiTest, MetricsReportsUptimeAndBuildInfo) {
   const auto metrics = Json::parse(call("GET", "/metrics").body);
   ASSERT_TRUE(metrics.has_value());
-  EXPECT_TRUE(metrics->contains("uptime_seconds"));
-  EXPECT_FALSE((*metrics)["build"]["version"].as_string().empty());
-  EXPECT_TRUE((*metrics)["stages"].is_object());
+  EXPECT_EQ((*metrics)["mcb_uptime_seconds"]["type"].as_string(), "gauge");
+  EXPECT_GE(metric_value(*metrics, "mcb_uptime_seconds"), 0.0);
+  const JsonArray& build = (*metrics)["mcb_build_info"]["points"].as_array();
+  ASSERT_EQ(build.size(), 1U);
+  EXPECT_FALSE(build[0]["labels"]["version"].as_string().empty());
+  const Json& stages = (*metrics)["mcb_stage_duration_seconds"];
+  EXPECT_EQ(stages["type"].as_string(), "histogram");
+  EXPECT_EQ(stages["points"].size(), obs::kStageCount);
 }
 
 TEST_F(ApiTest, DebugRequestsRetainsErrors) {
@@ -1176,8 +1308,8 @@ TEST_F(ApiTest, EndToEndOverSockets) {
   EXPECT_EQ(status, 200);
   const auto metrics = Json::parse(body);
   ASSERT_TRUE(metrics.has_value());
-  EXPECT_GE((*metrics)["server"]["accepted"].as_int(), 4);
-  EXPECT_GE((*metrics)["server"]["handled"].as_int(), 3);
+  EXPECT_GE(connections(*metrics, "accepted"), 4.0);
+  EXPECT_GE(connections(*metrics, "handled"), 3.0);
   api_->stop();
 }
 

@@ -198,8 +198,9 @@ const std::vector<RuleInfo>& rule_catalog() {
        "`model.load(path);` that quietly fails leaves the server "
        "classifying with a stale model. Every repo function returning "
        "bool is a status; a statement-position call that drops it "
-       "discards a failure.",
-       "index.load(path);  // R21: result discarded",
+       "discards a failure, whether it stands alone or is the whole "
+       "body of an unbraced if/else/for/while.",
+       "if (stale) index.load(path);  // R21: result discarded",
        "Check the result, or make the intent explicit with "
        "`(void) index.load(path);` plus a comment. Inline suppression: "
        "`// mcb-lint: ` + `suppress(R21: <why failure is impossible>)`."},

@@ -1,6 +1,7 @@
 #include "lint/graph_rules.hpp"
 
 #include <algorithm>
+#include <cctype>
 #include <functional>
 #include <map>
 #include <set>
@@ -22,6 +23,33 @@ std::size_t line_of(const ContextTable& ctxs, const FunctionDef& def,
 std::string_view body_of(const ContextTable& ctxs, const FunctionDef& def) {
   const std::string_view code = ctxs[def.file_ctx]->view.code;
   return code.substr(def.body_begin, def.body_end - def.body_begin + 1);
+}
+
+/// Whether the statement starting at `begin` discards its value: it
+/// follows ';', '{' or '}' (or opens the text), or it is the whole body
+/// of an unbraced `if (...)`, `else`, `for (...)` or `while (...)`.
+bool at_statement_start(std::string_view code, std::size_t begin) {
+  std::size_t end = begin;
+  while (end > 0 && std::isspace(static_cast<unsigned char>(code[end - 1])) != 0) --end;
+  if (end == 0) return true;
+  const char before = code[end - 1];
+  if (before == ';' || before == '{' || before == '}') return true;
+  if (before == ')') {
+    // Walk back to the matching '(' and read the keyword in front of it.
+    int depth = 0;
+    do {
+      --end;
+      if (code[end] == ')') ++depth;
+      if (code[end] == '(') --depth;
+    } while (depth > 0 && end > 0);
+    if (depth != 0) return false;
+    while (end > 0 && std::isspace(static_cast<unsigned char>(code[end - 1])) != 0) --end;
+  }
+  std::size_t word = end;
+  while (word > 0 && is_ident_char(code[word - 1])) --word;
+  const std::string_view keyword = code.substr(word, end - word);
+  if (before == ')') return keyword == "if" || keyword == "for" || keyword == "while";
+  return keyword == "else";
 }
 
 /// Root→def call chain rendered two ways: structured steps (each call
@@ -409,9 +437,9 @@ void check_discarded_status(const ContextTable& ctxs, const CallGraph& graph,
       }
       if (!all_bool) continue;
 
-      // Statement position: `<stmt-start> [recv.]name(args);` with the
-      // statement preceded by ';', '{' or '}'. Anything else — `(void)`
-      // cast, `if (!...)`, assignment, return — uses the result.
+      // Statement position: `<stmt-start> [recv.]name(args);` (see
+      // at_statement_start). Anything else — `(void)` cast, `if (!...)`,
+      // assignment, return — uses the result.
       const std::size_t after_name = site.pos + site.name.size();
       const std::size_t paren = next_nonspace(code, after_name);
       if (paren == std::string_view::npos || code[paren] != '(') continue;
@@ -431,10 +459,7 @@ void check_discarded_status(const ContextTable& ctxs, const CallGraph& graph,
           break;
         }
       }
-      const char before = prev_nonspace(code, begin);
-      if (before != ';' && before != '{' && before != '}' && before != '\0') {
-        continue;
-      }
+      if (!at_statement_start(code, begin)) continue;
 
       Violation v;
       v.file = def.file;
