@@ -10,47 +10,82 @@ Framework::Framework(FrameworkConfig config, const JobStore& store, ThreadPool* 
       fetcher_(store),
       characterizer_(config_.machine),
       encoder_(config_.features, config_.encoder),
+      pool_(pool),
       cache_(encoder_.dim()),
-      registry_(config_.registry_dir),
-      pool_(pool) {}
+      registry_(config_.registry_dir) {}
 
 ClassificationModel Framework::make_model() const {
   return ClassificationModel(config_.model, config_.knn, config_.forest);
 }
 
+std::shared_ptr<const ModelSnapshot> Framework::snapshot() const {
+  MutexLock lock(snapshot_mutex_);
+  return snapshot_;
+}
+
+std::optional<std::uint32_t> Framework::model_version() const {
+  const auto current = snapshot();
+  if (current == nullptr) return std::nullopt;
+  return current->version;
+}
+
+std::shared_ptr<const ClassificationModel> Framework::model() const {
+  auto current = snapshot();
+  if (current == nullptr) return nullptr;
+  const ClassificationModel* model = &current->model;
+  return {std::move(current), model};
+}
+
+void Framework::publish(ClassificationModel model, std::uint32_t version) {
+  std::shared_ptr<const ModelSnapshot> next =
+      std::make_shared<const ModelSnapshot>(ModelSnapshot{std::move(model), version});
+  MutexLock lock(snapshot_mutex_);
+  snapshot_.swap(next);
+}
+
 TrainingReport Framework::train_now(TimePoint now) {
   const TimePoint window_start =
       now - static_cast<std::int64_t>(config_.alpha_days) * kSecondsPerDay;
+  MutexLock lock(train_mutex_);
   const TrainingWorkflow workflow(fetcher_, characterizer_, encoder_, &cache_, pool_);
   ClassificationModel candidate = make_model();
-  const TrainingReport report =
-      workflow.run(candidate, window_start, now, config_.theta);
+  TrainingReport report = workflow.run(candidate, window_start, now, config_.theta);
   if (candidate.is_trained()) {
-    model_version_ = registry_.save(candidate, model_name());
-    model_.emplace(std::move(candidate));
+    report.version = registry_.save(candidate, model_name());
+    if (report.version.has_value()) publish(std::move(candidate), *report.version);
   }
   return report;
 }
 
 bool Framework::load_latest_model() {
-  auto loaded = registry_.load(config_.model, model_name());
-  if (!loaded.has_value() || !loaded->is_trained()) return false;
-  model_version_ = registry_.latest_version(model_name());
-  model_.emplace(std::move(*loaded));
+  MutexLock lock(train_mutex_);
+  const auto version = registry_.latest_version(model_name());
+  if (!version.has_value()) return false;
+  ClassificationModel model = make_model();
+  if (!registry_.load_into(model, model_name(), *version) || !model.is_trained()) {
+    return false;
+  }
+  publish(std::move(model), *version);
   return true;
 }
 
 std::optional<Boundedness> Framework::predict_job(const JobRecord& job) const {
-  if (!has_model()) return std::nullopt;
-  const InferenceWorkflow workflow(fetcher_, encoder_, &cache_, pool_);
-  const InferenceReport report = workflow.run_jobs(*model_, {&job, 1});
-  if (report.predictions.empty()) return std::nullopt;
-  return to_boundedness(report.predictions.front());
+  const std::vector<Label> labels = predict_batch({&job, 1});
+  if (labels.empty()) return std::nullopt;
+  return to_boundedness(labels.front());
 }
 
 std::vector<Label> Framework::predict_batch(std::span<const JobRecord> jobs,
                                             ShardedEmbeddingCache* text_cache) const {
-  if (!has_model() || jobs.empty()) return {};
+  const auto current = snapshot();
+  if (current == nullptr) return {};
+  return predict_batch(*current, jobs, text_cache);
+}
+
+std::vector<Label> Framework::predict_batch(const ModelSnapshot& snapshot,
+                                            std::span<const JobRecord> jobs,
+                                            ShardedEmbeddingCache* text_cache) const {
+  if (jobs.empty()) return {};
   FeatureMatrix x;
   if (text_cache != nullptr) {
     // encode_batch_cached opens its own kCacheLookup/kEncode spans.
@@ -60,13 +95,16 @@ std::vector<Label> Framework::predict_batch(std::span<const JobRecord> jobs,
     x = encoder_.encode_batch(jobs, nullptr, pool_);
   }
   obs::Span classify_span(obs::Stage::kClassify);
-  return model_->inference(x.view(), pool_);
+  return snapshot.model.inference(x.view(), pool_);
 }
 
 InferenceReport Framework::predict_range(TimePoint start, TimePoint end) const {
-  if (!has_model()) return {};
-  const InferenceWorkflow workflow(fetcher_, encoder_, &cache_, pool_);
-  return workflow.run(*model_, start, end);
+  const auto current = snapshot();
+  if (current == nullptr) return {};
+  // No EncodingCache here: the training cache belongs to the train mutex,
+  // and readers never wait on it.
+  const InferenceWorkflow workflow(fetcher_, encoder_, nullptr, pool_);
+  return workflow.run(current->model, start, end);
 }
 
 }  // namespace mcb

@@ -8,6 +8,20 @@
 //   framework.predict_job(job)      -> Inference Workflow (per submission)
 //   framework.predict_range(a, b)   -> Inference Workflow (periodic batch)
 // The HTTP facade in src/serve exposes the same operations over JSON.
+//
+// Thread safety. The trained model is published as an immutable
+// ModelSnapshot behind a shared_ptr. Every call below is safe to make
+// concurrently with every other: any number of readers (predict_*,
+// snapshot, has_model, model_version, model) run alongside each other
+// and alongside one train_now / load_latest_model. Readers copy the
+// snapshot pointer once under a mutex held only for that copy, then
+// classify without any lock, so a retrain never stalls them. Writers
+// serialize on a private train mutex (a second train_now waits for the
+// first), build and save the candidate under it, and swap the pointer
+// only after the registry save succeeds. An old snapshot stays alive
+// until its last reader drops it. The accessors config(), encoder(),
+// characterizer(), registry() and store() return members fixed at
+// construction.
 #pragma once
 
 #include <memory>
@@ -20,8 +34,16 @@
 #include "core/online_evaluator.hpp"
 #include "core/workflows.hpp"
 #include "data/data_fetcher.hpp"
+#include "util/sync.hpp"
 
 namespace mcb {
+
+/// One published model: the trained classifier and the registry version
+/// it was saved as. Never modified after publication.
+struct ModelSnapshot {
+  ClassificationModel model;
+  std::uint32_t version = 0;
+};
 
 class Framework {
  public:
@@ -32,28 +54,34 @@ class Framework {
   const FrameworkConfig& config() const noexcept { return config_; }
   const Characterizer& characterizer() const noexcept { return characterizer_; }
   const FeatureEncoder& encoder() const noexcept { return encoder_; }
-  ModelRegistry& registry() noexcept { return registry_; }
+  const ModelRegistry& registry() const noexcept { return registry_; }
   const JobStore& store() const noexcept { return *store_; }
 
-  bool has_model() const noexcept { return model_.has_value() && model_->is_trained(); }
-  std::optional<std::uint32_t> model_version() const noexcept { return model_version_; }
+  /// The published model, or nullptr before the first successful
+  /// train_now()/load_latest_model(). Load it once per request and use
+  /// that copy for every answer the request gives.
+  std::shared_ptr<const ModelSnapshot> snapshot() const MCB_EXCLUDES(snapshot_mutex_);
+
+  bool has_model() const { return snapshot() != nullptr; }
+  std::optional<std::uint32_t> model_version() const;
   std::string model_name() const { return model_kind_name(config_.model); }
 
-  /// The live model, or nullptr before the first train_now()/
-  /// load_latest_model(). Lets the serving layer surface model
-  /// internals (e.g. KNN spatial-index stats) in /model/info.
-  const ClassificationModel* model() const noexcept {
-    return model_.has_value() ? &*model_ : nullptr;
-  }
+  /// The published classifier (sharing the snapshot's lifetime), or
+  /// nullptr before the first model.
+  std::shared_ptr<const ClassificationModel> model() const;
 
   /// Training Workflow: fetch the trailing alpha-day window ending at
   /// `now`, characterize, encode, train, and persist a new model version
-  /// to the registry. Returns the report (jobs_used == 0 means the
-  /// window was empty and no model was produced).
-  TrainingReport train_now(TimePoint now);
+  /// to the registry; the model is published only once saved, and
+  /// report.version names it. jobs_used == 0 means the window was empty;
+  /// jobs_used > 0 without a version means the save failed and the
+  /// previous model keeps serving.
+  TrainingReport train_now(TimePoint now) MCB_EXCLUDES(train_mutex_);
 
-  /// Load the newest persisted model instead of training (warm restart).
-  bool load_latest_model();
+  /// Load and publish the newest persisted model instead of training
+  /// (warm restart). Returns false, publishing nothing, when the
+  /// registry holds no loadable model.
+  bool load_latest_model() MCB_EXCLUDES(train_mutex_);
 
   /// Inference Workflow for one not-yet-executed job.
   std::optional<Boundedness> predict_job(const JobRecord& job) const;
@@ -63,6 +91,12 @@ class Framework {
   /// classify them in a single pool dispatch over the batched model
   /// kernels. Returns an empty vector when no model is trained.
   std::vector<Label> predict_batch(std::span<const JobRecord> jobs,
+                                   ShardedEmbeddingCache* text_cache = nullptr) const;
+
+  /// predict_batch against a snapshot the caller already holds, so the
+  /// labels and the version reported with them come from one model.
+  std::vector<Label> predict_batch(const ModelSnapshot& snapshot,
+                                   std::span<const JobRecord> jobs,
                                    ShardedEmbeddingCache* text_cache = nullptr) const;
 
   /// Inference Workflow for all jobs submitted in [start, end).
@@ -79,17 +113,28 @@ class Framework {
 
  private:
   ClassificationModel make_model() const;
+  /// Swap in a saved model; the replaced snapshot is released outside
+  /// the lock.
+  void publish(ClassificationModel model, std::uint32_t version)
+      MCB_REQUIRES(train_mutex_) MCB_EXCLUDES(snapshot_mutex_);
 
   FrameworkConfig config_;
   const JobStore* store_;
   StoreDataFetcher fetcher_;
   Characterizer characterizer_;
   FeatureEncoder encoder_;
-  mutable EncodingCache cache_;
-  ModelRegistry registry_;
   ThreadPool* pool_;
-  std::optional<ClassificationModel> model_;
-  std::optional<std::uint32_t> model_version_;
+
+  /// Serializes writers: train_now, load_latest_model and the registry
+  /// writes they make.
+  Mutex train_mutex_;
+  EncodingCache cache_ MCB_GUARDED_BY(train_mutex_);
+  ModelRegistry registry_;
+
+  /// Held only to copy or swap snapshot_, never across training,
+  /// saving or inference.
+  mutable Mutex snapshot_mutex_;
+  std::shared_ptr<const ModelSnapshot> snapshot_ MCB_GUARDED_BY(snapshot_mutex_);
 };
 
 }  // namespace mcb

@@ -54,14 +54,18 @@ std::optional<std::uint32_t> ModelRegistry::save(const ClassificationModel& mode
   return version;
 }
 
+bool ModelRegistry::load_into(ClassificationModel& model, const std::string& tag,
+                              std::uint32_t version) const {
+  std::ifstream in(path_for(tag, version), std::ios::binary);
+  return in && model.load(in);
+}
+
 std::optional<ClassificationModel> ModelRegistry::load(
     ModelKind kind, const std::string& tag, std::optional<std::uint32_t> version) const {
   if (!version.has_value()) version = latest_version(tag);
   if (!version.has_value()) return std::nullopt;
-  std::ifstream in(path_for(tag, *version), std::ios::binary);
-  if (!in) return std::nullopt;
   ClassificationModel model(kind);
-  if (!model.load(in)) return std::nullopt;
+  if (!load_into(model, tag, *version)) return std::nullopt;
   return model;
 }
 

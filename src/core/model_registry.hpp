@@ -31,9 +31,16 @@ class ModelRegistry {
   std::optional<std::uint32_t> latest_version(const std::string& tag) const;
 
   /// Load a version (latest when `version` is nullopt) into a fresh
-  /// model of the given kind. Returns nullopt on missing/corrupt files.
+  /// model of the given kind and default config. Returns nullopt on
+  /// missing/corrupt files.
   std::optional<ClassificationModel> load(ModelKind kind, const std::string& tag,
                                           std::optional<std::uint32_t> version = {}) const;
+
+  /// Load one version into `model`, keeping the config it was built
+  /// with (e.g. the KNN index mode). Returns false on missing/corrupt
+  /// files or a kind mismatch.
+  bool load_into(ClassificationModel& model, const std::string& tag,
+                 std::uint32_t version) const;
 
   /// All stored versions of a tag, ascending.
   std::vector<std::uint32_t> versions(const std::string& tag) const;

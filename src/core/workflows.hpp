@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -44,6 +45,9 @@ struct TrainingReport {
   double train_seconds = 0.0;         ///< model fit only (paper's "training time")
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
+  /// Registry version the trained model was saved and published as
+  /// (Framework::train_now); nullopt when nothing was published.
+  std::optional<std::uint32_t> version;
 };
 
 class TrainingWorkflow {

@@ -73,6 +73,26 @@ HttpResponse error_response(int status, const std::string& message) {
   return HttpResponse::json(status, body.dump());
 }
 
+/// Clears a flag when the scope exits, exceptions included.
+class ClearOnExit {
+ public:
+  explicit ClearOnExit(std::atomic<bool>& flag) : flag_(flag) {}
+  ~ClearOnExit() { flag_.store(false); }
+  ClearOnExit(const ClearOnExit&) = delete;
+  ClearOnExit& operator=(const ClearOnExit&) = delete;
+
+ private:
+  std::atomic<bool>& flag_;
+};
+
+/// A 200 answered from `snapshot`, naming the model version that
+/// produced it.
+HttpResponse model_response(const ModelSnapshot& snapshot, const Json& body) {
+  HttpResponse response = HttpResponse::json(200, body.dump());
+  response.headers.emplace_back("X-Model-Version", std::to_string(snapshot.version));
+  return response;
+}
+
 std::optional<JobRecord> parse_job_body(const HttpRequest& request, HttpResponse& error) {
   std::string parse_error;
   const auto json = Json::parse(request.body, &parse_error);
@@ -92,7 +112,7 @@ std::optional<JobRecord> parse_job_body(const HttpRequest& request, HttpResponse
 
 ApiServer::ApiServer(Framework& framework, ServerConfig server_config,
                      EmbeddingCacheConfig cache_config)
-    : framework_(&framework),
+    : framework_(framework),
       server_(server_config),
       embedding_cache_(framework.encoder().dim(), cache_config),
       stage_profile_(server_.tracer(), framework.characterizer()),
@@ -188,22 +208,34 @@ void ApiServer::collect_app_metrics(std::vector<obs::MetricFamily>& out) const {
     uptime.points.push_back(obs::scalar_point({}, uptime_seconds()));
     out.push_back(std::move(uptime));
 
+    // The model families below all describe this one snapshot.
+    const auto snapshot = framework_.snapshot();
     obs::MetricFamily ready;
     ready.name = "mcb_ready";
     ready.help = "1 once a trained model is loaded (readiness probe).";
     ready.type = obs::MetricType::kGauge;
-    bool is_ready = false;
-    KnnIndexStats index_stats;  // mode defaults to kNone = scan
-    {
-      MutexLock lock(mutex_);
-      is_ready = framework_->has_model();
-      const ClassificationModel* model = framework_->model();
-      const KnnIndexStats* stats =
-          model != nullptr ? model->knn_index_stats() : nullptr;
-      if (stats != nullptr) index_stats = *stats;
-    }
-    ready.points.push_back(obs::scalar_point({}, is_ready ? 1.0 : 0.0));
+    ready.points.push_back(obs::scalar_point({}, snapshot != nullptr ? 1.0 : 0.0));
     out.push_back(std::move(ready));
+
+    obs::MetricFamily version;
+    version.name = "mcb_model_version";
+    version.help = "Registry version of the model serving classifications (0 = none).";
+    version.type = obs::MetricType::kGauge;
+    version.points.push_back(obs::scalar_point(
+        {}, snapshot != nullptr ? static_cast<double>(snapshot->version) : 0.0));
+    out.push_back(std::move(version));
+
+    obs::MetricFamily training;
+    training.name = "mcb_train_in_progress";
+    training.help = "1 while a POST /train runs (a concurrent /train answers 409).";
+    training.type = obs::MetricType::kGauge;
+    training.points.push_back(obs::scalar_point({}, training_.load() ? 1.0 : 0.0));
+    out.push_back(std::move(training));
+
+    KnnIndexStats index_stats;  // mode defaults to kNone = scan
+    const KnnIndexStats* stats =
+        snapshot != nullptr ? snapshot->model.knn_index_stats() : nullptr;
+    if (stats != nullptr) index_stats = *stats;
 
     // How KNN inference is served (DESIGN.md §11). mode="none" means
     // the brute-force scan; unique_rows < rows quantifies the duplicate
@@ -254,8 +286,8 @@ void ApiServer::install_routes() {
   server_.route("POST", "/encode",
                 [this](const HttpRequest& r) { return handle_encode(r); });
   server_.route("GET", "/jobs", [this](const HttpRequest& r) { return handle_jobs(r); });
-  // Observability: /metrics and /debug/requests take no framework lock —
-  // executor/server state + app counters only. /healthz is liveness
+  // Observability: /metrics and /debug/requests read executor/server
+  // state, app counters and one model snapshot. /healthz is liveness
   // (trivially 200 once the listener answers); /readyz gates on a
   // trained model being loaded.
   server_.route("GET", "/metrics",
@@ -278,12 +310,7 @@ HttpResponse ApiServer::handle_healthz(const HttpRequest&) {
 }
 
 HttpResponse ApiServer::handle_readyz(const HttpRequest&) {
-  bool is_ready = false;
-  {
-    MutexLock lock(mutex_);
-    is_ready = framework_->has_model();
-  }
-  if (!is_ready) {
+  if (!framework_.has_model()) {
     return HttpResponse::json(
         503, R"({"ready":false,"reason":"no trained model; POST /train first"})");
   }
@@ -362,10 +389,9 @@ HttpResponse ApiServer::handle_encode(const HttpRequest& request) {
   HttpResponse error;
   const auto job = parse_job_body(request, error);
   if (!job.has_value()) return error;
-  MutexLock lock(mutex_);
-  const auto embedding = framework_->encoder().encode(*job);
+  const auto embedding = framework_.encoder().encode(*job);
   Json body = Json::object();
-  body.set("feature_string", framework_->encoder().feature_string(*job));
+  body.set("feature_string", framework_.encoder().feature_string(*job));
   Json values = Json::array();
   for (const float v : embedding) values.push_back(static_cast<double>(v));
   body.set("embedding", values);
@@ -398,14 +424,8 @@ HttpResponse ApiServer::handle_jobs(const HttpRequest& request) {
                                   : JobQuery::TimeField::kEndTime;
   query.start_time = from;
   query.end_time = to;
-  // The store is internally synchronized; only the framework_ deref
-  // needs mutex_, so the scan itself runs without the API lock.
-  const JobStore* store = nullptr;
-  {
-    MutexLock lock(mutex_);
-    store = &framework_->store();
-  }
-  const std::vector<JobRecord> jobs = store->query_records(query);
+  // The store is internally synchronized.
+  const std::vector<JobRecord> jobs = framework_.store().query_records(query);
   Json body = Json::object();
   body.set("count", static_cast<std::int64_t>(jobs.size()));
   Json list = Json::array();
@@ -417,41 +437,38 @@ HttpResponse ApiServer::handle_jobs(const HttpRequest& request) {
 }
 
 HttpResponse ApiServer::handle_health(const HttpRequest&) {
-  MutexLock lock(mutex_);
+  const auto snapshot = framework_.snapshot();
   Json body = Json::object();
   body.set("status", "ok");
-  body.set("model", framework_->model_name());
-  body.set("trained", framework_->has_model());
-  if (framework_->model_version().has_value()) {
-    body.set("version", static_cast<std::int64_t>(*framework_->model_version()));
-  }
+  body.set("model", framework_.model_name());
+  body.set("trained", snapshot != nullptr);
+  if (snapshot != nullptr) body.set("version", static_cast<std::int64_t>(snapshot->version));
   return HttpResponse::json(200, body.dump());
 }
 
 HttpResponse ApiServer::handle_model_info(const HttpRequest&) {
-  MutexLock lock(mutex_);
+  const auto snapshot = framework_.snapshot();
+  const FrameworkConfig& config = framework_.config();
   Json body = Json::object();
-  body.set("model", framework_->model_name());
-  body.set("trained", framework_->has_model());
-  body.set("alpha_days", framework_->config().alpha_days);
-  body.set("beta_days", framework_->config().beta_days);
-  body.set("encoder_dim", static_cast<std::int64_t>(framework_->encoder().dim()));
-  body.set("ridge_point_flops_per_byte", framework_->characterizer().ridge_point());
+  body.set("model", framework_.model_name());
+  body.set("trained", snapshot != nullptr);
+  body.set("alpha_days", config.alpha_days);
+  body.set("beta_days", config.beta_days);
+  body.set("encoder_dim", static_cast<std::int64_t>(framework_.encoder().dim()));
+  body.set("ridge_point_flops_per_byte", framework_.characterizer().ridge_point());
   Json features = Json::array();
-  for (const JobFeature f : framework_->encoder().features()) {
+  for (const JobFeature f : framework_.encoder().features()) {
     features.push_back(job_feature_name(f));
   }
   body.set("features", features);
-  if (framework_->model_version().has_value()) {
-    body.set("version", static_cast<std::int64_t>(*framework_->model_version()));
-  }
-  if (framework_->config().model == ModelKind::kKnn) {
+  if (snapshot != nullptr) body.set("version", static_cast<std::int64_t>(snapshot->version));
+  if (config.model == ModelKind::kKnn) {
     // Surface how KNN queries are served (DESIGN.md §11): the pruned
     // spatial index when one is built, otherwise the brute-force scan
     // (index disabled, p != 2, or training set below min_rows).
     Json index_json = Json::object();
-    const ClassificationModel* model = framework_->model();
-    const KnnIndexStats* stats = model != nullptr ? model->knn_index_stats() : nullptr;
+    const KnnIndexStats* stats =
+        snapshot != nullptr ? snapshot->model.knn_index_stats() : nullptr;
     if (stats != nullptr) {
       index_json.set("mode", knn_index_mode_name(stats->mode));
       index_json.set("rows", static_cast<std::int64_t>(stats->rows));
@@ -471,12 +488,11 @@ HttpResponse ApiServer::handle_characterize(const HttpRequest& request) {
   const auto job = parse_job_body(request, error);
   if (!job.has_value()) return error;
 
-  MutexLock lock(mutex_);
-  const auto metrics = framework_->job_metrics(*job);
+  const auto metrics = framework_.job_metrics(*job);
   if (!metrics.has_value()) {
     return error_response(400, "job cannot be characterized (invalid duration/nodes)");
   }
-  const auto label = framework_->characterize_job(*job);
+  const auto label = framework_.characterize_job(*job);
   Json body = Json::object();
   body.set("label", boundedness_name(*label));
   Json m = Json::object();
@@ -498,18 +514,16 @@ HttpResponse ApiServer::handle_predict(const HttpRequest& request) {
   }
   if (!job.has_value()) return error;
 
-  MutexLock lock(mutex_);
-  if (!framework_->has_model()) {
-    return error_response(503, "no trained model; POST /train first");
-  }
+  const auto snapshot = framework_.snapshot();
+  if (snapshot == nullptr) return error_response(503, "no trained model; POST /train first");
   // Single-job requests ride the batched fast path too, so recurring
   // submissions (same canonical feature string) hit the embedding cache.
-  const auto labels = framework_->predict_batch({&*job, 1}, &embedding_cache_);
+  const auto labels = framework_.predict_batch(*snapshot, {&*job, 1}, &embedding_cache_);
   if (labels.empty()) return error_response(500, "prediction failed");
   Json body = Json::object();
   body.set("job_id", static_cast<std::int64_t>(job->job_id));
   body.set("label", boundedness_name(to_boundedness(labels.front())));
-  return HttpResponse::json(200, body.dump());
+  return model_response(*snapshot, body);
 }
 
 HttpResponse ApiServer::handle_classify_batch(const HttpRequest& request) {
@@ -546,14 +560,9 @@ HttpResponse ApiServer::handle_classify_batch(const HttpRequest& request) {
     }
   }
 
-  std::vector<Label> labels;
-  {
-    MutexLock lock(mutex_);
-    if (!framework_->has_model()) {
-      return error_response(503, "no trained model; POST /train first");
-    }
-    labels = framework_->predict_batch(jobs, &embedding_cache_);
-  }
+  const auto snapshot = framework_.snapshot();
+  if (snapshot == nullptr) return error_response(503, "no trained model; POST /train first");
+  const std::vector<Label> labels = framework_.predict_batch(*snapshot, jobs, &embedding_cache_);
   if (labels.size() != jobs.size()) return error_response(500, "prediction failed");
 
   // relaxed: independent monotonic batch counters read only by
@@ -568,36 +577,39 @@ HttpResponse ApiServer::handle_classify_batch(const HttpRequest& request) {
     out_labels.push_back(boundedness_name(to_boundedness(label)));
   }
   body.set("labels", out_labels);
-  return HttpResponse::json(200, body.dump());
+  return model_response(*snapshot, body);
 }
 
 HttpResponse ApiServer::handle_train(const HttpRequest& request) {
   std::string parse_error;
   const auto json = Json::parse(request.body.empty() ? "{}" : request.body, &parse_error);
   if (!json.has_value()) return error_response(400, "invalid JSON: " + parse_error);
-  MutexLock lock(mutex_);
-  const TimePoint now = json->contains("now")
-                            ? (*json)["now"].as_int()
-                            : framework_->store().max_end_time() + 1;
-  const TrainingReport report = framework_->train_now(now);
+  if (training_.exchange(true)) return error_response(409, "training already in progress");
+  const ClearOnExit admitted(training_);
+
+  const TimePoint now = json->contains("now") ? (*json)["now"].as_int()
+                                              : framework_.store().max_end_time() + 1;
+  const TrainingReport report = framework_.train_now(now);
   if (report.jobs_used == 0) {
     log::warn("api", "training window empty; no model produced",
               {log::Field("now", static_cast<std::int64_t>(now))});
     return error_response(409, "training window is empty; no model produced");
   }
+  if (!report.version.has_value()) {
+    log::error("api", "model not saved to the registry; previous model keeps serving",
+               {log::Field("registry", framework_.registry().root())});
+    return error_response(500, "model could not be saved to the registry");
+  }
   log::info("api", "model trained",
             {log::Field("jobs_used", static_cast<std::int64_t>(report.jobs_used)),
              log::Field("train_seconds", report.train_seconds),
-             log::Field("version", static_cast<std::int64_t>(
-                                       framework_->model_version().value_or(0)))});
+             log::Field("version", static_cast<std::int64_t>(*report.version))});
   Json body = Json::object();
   body.set("jobs_used", static_cast<std::int64_t>(report.jobs_used));
   body.set("train_seconds", report.train_seconds);
   body.set("encode_seconds", report.encode_seconds);
   body.set("characterize_seconds", report.characterize_seconds);
-  if (framework_->model_version().has_value()) {
-    body.set("version", static_cast<std::int64_t>(*framework_->model_version()));
-  }
+  body.set("version", static_cast<std::int64_t>(*report.version));
   return HttpResponse::json(201, body.dump());
 }
 

@@ -9,19 +9,24 @@
 //   POST /predict       -> submitted-job JSON -> {"label":"memory-bound"|...}
 //   POST /classify_batch-> {"jobs":[...]} -> {"labels":[...]} (batched fast path)
 //   POST /train         -> {"now": <epoch s>} -> training report JSON
+//                          (409 while another retrain runs)
 //   GET  /metrics       -> the metrics registry's snapshot as JSON
 //                          (obs::render_json), or ?format=prometheus for
 //                          the same snapshot in the text exposition
 //   GET  /debug/profile -> ?seconds=N&hz=H: blocking SIGPROF capture of the
 //                          whole process; flamegraph-ready collapsed stacks
 //
-// Mutating endpoints are serialized by an internal mutex; read endpoints
-// take the same lock briefly to snapshot model state (the framework is
-// not internally synchronized). /predict and /classify_batch run the
-// batched inference fast path: embeddings come from a sharded
-// canonical-text LRU cache (recurring job names hit without encoding)
-// and the whole batch goes through the flat-forest / tiled-KNN kernels
-// in one pool dispatch.
+// No API-wide lock. Handlers that need the model load one immutable
+// Framework snapshot and answer from it alone: /predict and
+// /classify_batch name it in an X-Model-Version header, so a retrain
+// swapping in a new model never stalls or mixes a classification. The
+// other handlers read Framework members fixed at construction (encoder,
+// characterizer, config, store). /train admits one caller at a time
+// through an atomic flag; a second concurrent /train gets 409. /predict
+// and /classify_batch run the batched inference fast path: embeddings
+// come from a sharded canonical-text LRU cache (recurring job names hit
+// without encoding) and the whole batch goes through the flat-forest /
+// tiled-KNN kernels in one pool dispatch.
 #pragma once
 
 #include <atomic>
@@ -35,7 +40,6 @@
 #include "serve/server.hpp"
 #include "text/embedding_cache.hpp"
 #include "util/json.hpp"
-#include "util/sync.hpp"
 
 namespace mcb {
 
@@ -97,14 +101,13 @@ class ApiServer {
   HttpResponse handle_classify_batch(const HttpRequest& request);
   HttpResponse handle_train(const HttpRequest& request);
 
-  /// The framework is not internally synchronized: every handler that
-  /// touches it (train, predict, encode, characterize, model info)
-  /// derefs under mutex_ — enforced at compile time by pt_guarded_by.
-  Framework* framework_ MCB_PT_GUARDED_BY(mutex_);
+  Framework& framework_;  ///< internally synchronized (core/mcbound.hpp)
   HttpServer server_;
-  mutable Mutex mutex_;
 
   mutable ShardedEmbeddingCache embedding_cache_;
+  /// Set while a /train runs; a concurrent /train answers 409 instead of
+  /// waiting. Exported as mcb_train_in_progress.
+  std::atomic<bool> training_{false};
   std::atomic<std::uint64_t> batch_requests_{0};  ///< /classify_batch calls served
   std::atomic<std::uint64_t> batch_jobs_{0};      ///< jobs classified across them
 

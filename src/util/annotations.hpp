@@ -32,10 +32,6 @@
 /// permits reads; exclusive hold permits writes).
 #define MCB_GUARDED_BY(x) MCB_THREAD_ANNOTATION(guarded_by(x))
 
-/// Pointer member whose *pointee* is guarded by `x` (the pointer itself
-/// may be read freely).
-#define MCB_PT_GUARDED_BY(x) MCB_THREAD_ANNOTATION(pt_guarded_by(x))
-
 /// Function requires the capability held exclusively on entry (and does
 /// not release it).
 #define MCB_REQUIRES(...) \

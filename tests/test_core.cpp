@@ -662,6 +662,87 @@ TEST(Framework, TrainPredictAndRegistryLifecycle) {
   fs::remove_all(registry_dir);
 }
 
+/// `prefix` followed by `n`, e.g. "app_3".
+std::string numbered(const char* prefix, std::uint64_t n) {
+  std::string out(prefix);
+  out += std::to_string(n);
+  return out;
+}
+
+TEST(Framework, WarmRestartLoadsNewestVersionWithConfiguredModel) {
+  const std::string registry_dir =
+      (fs::temp_directory_path() / "mcb_framework_warm").string();
+  fs::remove_all(registry_dir);
+
+  // 700 jobs: enough rows that the default KNN config would build the
+  // spatial index, which this deployment switches off.
+  JobStore store;
+  const TimePoint base = timepoint_from_ymd(2024, 1, 10);
+  for (std::uint64_t i = 0; i < 700; ++i) {
+    const bool compute = i % 7 < 3;
+    JobRecord job =
+        executed(i, numbered("app_", i % 7), compute, base + static_cast<TimePoint>(i) * 3000);
+    job.user_name = numbered("u", i % 5);
+    store.insert(std::move(job));
+  }
+  FrameworkConfig config;
+  config.registry_dir = registry_dir;
+  config.model = ModelKind::kKnn;
+  config.alpha_days = 60;
+  config.knn.index.mode = KnnIndexMode::kNone;
+  Framework trainer(config, store);
+  EXPECT_EQ(trainer.train_now(base + 600 * 3000).version, 1U);
+  EXPECT_EQ(trainer.train_now(base + 701 * 3000).version, 2U);
+
+  Framework warm(config, store);
+  ASSERT_TRUE(warm.load_latest_model());
+  EXPECT_EQ(warm.model_version(), 2U);
+  EXPECT_EQ(warm.model()->knn_index_stats(), nullptr);  // scan, as configured
+  std::vector<JobRecord> queries;
+  for (std::uint64_t i = 0; i < 21; ++i) {
+    queries.push_back(submission(5000 + i, numbered("u", i % 5), numbered("app_", i % 7)));
+  }
+  const std::vector<Label> expected = trainer.predict_batch(queries);
+  ASSERT_EQ(expected.size(), queries.size());
+  EXPECT_EQ(warm.predict_batch(queries), expected);
+
+  // An empty registry publishes nothing.
+  FrameworkConfig empty_config = config;
+  empty_config.registry_dir = registry_dir + "-empty";
+  Framework empty(empty_config, store);
+  EXPECT_FALSE(empty.load_latest_model());
+  EXPECT_FALSE(empty.has_model());
+
+  fs::remove_all(registry_dir);
+  fs::remove_all(empty_config.registry_dir);
+}
+
+TEST(Framework, FailedSaveKeepsThePreviousModelServing) {
+  const std::string registry_dir =
+      (fs::temp_directory_path() / "mcb_framework_save_fail").string();
+  fs::remove_all(registry_dir);
+  JobStore store;
+  const TimePoint base = timepoint_from_ymd(2024, 1, 10);
+  for (std::uint64_t i = 0; i < 40; ++i) {
+    store.insert(executed(i, "stream_app", false, base + static_cast<TimePoint>(i) * 3600));
+  }
+  FrameworkConfig config;
+  config.registry_dir = registry_dir;
+  config.model = ModelKind::kKnn;
+  Framework framework(config, store);
+  ASSERT_EQ(framework.train_now(base + 40 * 3600).version, 1U);
+  const auto first = framework.snapshot();
+
+  // A directory where version 2's file would go makes the next save fail.
+  fs::create_directories(ModelRegistry(registry_dir).path_for("knn", 2));
+  const TrainingReport report = framework.train_now(base + 40 * 3600);
+  EXPECT_GT(report.jobs_used, 0U);
+  EXPECT_FALSE(report.version.has_value());
+  EXPECT_EQ(framework.model_version(), 1U);
+  EXPECT_EQ(framework.snapshot(), first);
+  fs::remove_all(registry_dir);
+}
+
 TEST(Framework, PredictRangeUsesSubmitTimes) {
   const std::string registry_dir =
       (fs::temp_directory_path() / "mcb_framework_range").string();

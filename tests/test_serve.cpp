@@ -6,12 +6,14 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <fstream>
 #include <future>
 #include <map>
 #include <thread>
@@ -115,6 +117,14 @@ double route_class(const Json& metrics, const std::string& route, const std::str
 
 double connections(const Json& metrics, const std::string& event) {
   return metric_value(metrics, "mcb_http_connections_total", {{"event", event}});
+}
+
+/// A response header's value, or "" when absent.
+std::string header(const HttpResponse& response, const std::string& key) {
+  for (const auto& [name, value] : response.headers) {
+    if (name == key) return value;
+  }
+  return "";
 }
 
 // ------------------------------------------------------------- parsing
@@ -834,15 +844,19 @@ TEST_F(ApiTest, TrainThenPredictFlow) {
   EXPECT_EQ(predict_response.status, 200);
   const auto predict_json = Json::parse(predict_response.body);
   EXPECT_EQ((*predict_json)["label"].as_string(), "memory-bound");
+  EXPECT_EQ(header(predict_response, "X-Model-Version"), "1");
 
-  const auto predict2 = call(
-      "POST", "/predict",
-      R"({"job_name":"dgemm_app","user_name":"u2","nodes_requested":2,"cores_requested":96,"environment":"env"})");
-  EXPECT_EQ(*Json::parse(predict2.body), *Json::parse(predict2.body));
+  const std::string dgemm =
+      R"({"job_name":"dgemm_app","user_name":"u2","nodes_requested":2,"cores_requested":96,"environment":"env"})";
+  const auto predict2 = call("POST", "/predict", dgemm);
   EXPECT_EQ((*Json::parse(predict2.body))["label"].as_string(), "compute-bound");
+  // The same request answers the same body (this time from the cache).
+  EXPECT_EQ(call("POST", "/predict", dgemm).body, predict2.body);
 
   const auto health = Json::parse(call("GET", "/health").body);
   EXPECT_TRUE((*health)["trained"].as_bool());
+  EXPECT_EQ((*health)["version"].as_int(), 1);
+  EXPECT_EQ(metric_value(*Json::parse(call("GET", "/metrics").body), "mcb_model_version"), 1.0);
 }
 
 TEST_F(ApiTest, ClassifyBatchWithoutModelIs503) {
@@ -913,6 +927,30 @@ TEST_F(ApiTest, PredictSharesEmbeddingCacheWithBatch) {
 TEST_F(ApiTest, TrainEmptyWindowIs409) {
   const auto response = call("POST", "/train", R"({"now": 1000})");  // before any data
   EXPECT_EQ(response.status, 409);
+}
+
+TEST_F(ApiTest, UnsavedModelIsNotServed) {
+  // A registry path that is a regular file: every save fails, so the
+  // trained model must not be published without a version.
+  const std::string file = registry_dir_ + "-file";
+  { std::ofstream(file) << "not a directory"; }
+  FrameworkConfig config = config_;
+  config.registry_dir = file;
+  Framework framework(config, store_);
+  ApiServer api(framework);
+  HttpRequest train;
+  train.method = "POST";
+  train.path = "/train";
+  train.body = "{\"now\": " + std::to_string(last_end_ + 10) + "}";
+  const auto response = api.dispatch(train);
+  EXPECT_EQ(response.status, 500);
+  EXPECT_FALSE(Json::parse(response.body)->contains("version"));
+  HttpRequest ready;
+  ready.method = "GET";
+  ready.path = "/readyz";
+  EXPECT_EQ(api.dispatch(ready).status, 503);
+  EXPECT_FALSE(framework.has_model());
+  fs::remove(file);
 }
 
 TEST_F(ApiTest, CharacterizeEndpoint) {
@@ -1195,6 +1233,8 @@ TEST_F(ApiTest, PrometheusExposition) {
             std::string::npos);
   EXPECT_NE(response.body.find("mcb_build_info{"), std::string::npos);
   EXPECT_NE(response.body.find("mcb_ready 0"), std::string::npos);
+  EXPECT_NE(response.body.find("mcb_model_version 0"), std::string::npos);
+  EXPECT_NE(response.body.find("mcb_train_in_progress 0"), std::string::npos);
   EXPECT_NE(response.body.find("le=\"+Inf\""), std::string::npos);
 }
 
@@ -1311,6 +1351,220 @@ TEST_F(ApiTest, EndToEndOverSockets) {
   EXPECT_GE(connections(*metrics, "accepted"), 4.0);
   EXPECT_GE(connections(*metrics, "handled"), 3.0);
   api_->stop();
+}
+
+// ------------------------------------------------ model snapshots
+
+TEST_F(ApiTest, ClassifyIsServedWhileTrainIsInFlight) {
+  ASSERT_TRUE(api_->start(0));
+  const int port = api_->port();
+  const std::string train_body = "{\"now\": " + std::to_string(last_end_ + 10) + "}";
+  int status = 0;
+  std::string body;
+  ASSERT_TRUE(http_request(port, "POST", "/train", train_body, status, body));
+  ASSERT_EQ(status, 201);
+  const auto train_gauge = [this] {
+    return metric_value(*Json::parse(call("GET", "/metrics").body), "mcb_train_in_progress");
+  };
+  EXPECT_EQ(train_gauge(), 0.0);
+
+  // A FIFO where version 2's file goes parks the next /train inside its
+  // registry save until the reader below drains it. The registry lists
+  // regular files only, so the save picks that path.
+  const std::string fifo = registry_dir_ + "/knn-v2.mcbm";
+  ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0);
+  std::promise<void> release;
+  std::atomic<bool> released{false};
+  std::string saved;
+  // Drains the FIFO when the test releases it, or after 30 s, so a server
+  // whose answers wait for the retrain fails this test instead of hanging
+  // it. Removing the FIFO sends any later save to a regular file.
+  std::thread reader([&, go = release.get_future()] {
+    go.wait_for(std::chrono::seconds(30));
+    released.store(true);
+    std::ifstream in(fifo, std::ios::binary);
+    saved.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+    fs::remove(fifo);
+  });
+  int held_status = 0;
+  std::string held_body;
+  std::thread trainer(
+      [&] { http_request(port, "POST", "/train", train_body, held_status, held_body); });
+  const auto deadline = Clock::now() + std::chrono::seconds(20);
+  while (train_gauge() != 1.0 && Clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  EXPECT_EQ(train_gauge(), 1.0);
+
+  // The retrain is parked mid-save: classification answers from version
+  // 1 and a second /train is turned away, both before the save resumes.
+  HttpClientResponse classified;
+  EXPECT_TRUE(http_request(port, "POST", "/classify_batch",
+                           R"({"jobs":[{"job_name":"dgemm_app","user_name":"u2"}]})", {},
+                           classified));
+  HttpClientResponse second;
+  EXPECT_TRUE(http_request(port, "POST", "/train", train_body, {}, second));
+  EXPECT_FALSE(released.load()) << "the answers waited for the retrain";
+  EXPECT_EQ(train_gauge(), 1.0);
+  release.set_value();
+  reader.join();
+  trainer.join();
+
+  EXPECT_EQ(classified.status, 200);
+  EXPECT_EQ(classified.headers["x-model-version"], "1");
+  EXPECT_EQ(second.status, 409);
+  EXPECT_EQ((*Json::parse(second.body))["error"].as_string(), "training already in progress");
+  // Once released, the save completes and version 2 is published.
+  EXPECT_FALSE(saved.empty());
+  EXPECT_EQ(held_status, 201);
+  EXPECT_EQ((*Json::parse(held_body))["version"].as_int(), 2);
+  EXPECT_EQ(train_gauge(), 0.0);
+  HttpClientResponse after;
+  EXPECT_TRUE(http_request(port, "POST", "/predict", R"({"job_name":"dgemm_app"})", {}, after));
+  EXPECT_EQ(after.headers["x-model-version"], "2");
+  api_->stop();
+}
+
+/// One executed "flip" job on `day` (0-based from `base`): memory-bound
+/// before day 10, compute-bound from day 10 on.
+JobRecord flip_job(std::uint64_t id, TimePoint base, int day) {
+  const bool compute = day >= 10;
+  JobRecord job;
+  job.job_id = id;
+  job.user_name = "u";
+  job.user_name += std::to_string(id % 3);
+  job.job_name = "flip_app";
+  job.environment = "env";
+  job.nodes_requested = job.nodes_allocated = 2;
+  job.cores_requested = 96;
+  job.end_time = base + static_cast<TimePoint>(day) * kSecondsPerDay + 3600 * (1 + id % 8);
+  job.start_time = job.end_time - 900;
+  job.submit_time = job.start_time - 100;
+  job.perf2 = compute ? 1e15 : 1e6;
+  job.perf4 = job.perf5 = compute ? 1e6 : 1e12;
+  return job;
+}
+
+TEST(ApiSnapshots, ServedLabelsMatchTheVersionTheyName) {
+  // Retrains alternate between a memory-bound and a compute-bound
+  // window, so consecutive versions label the same jobs differently and
+  // a response naming the wrong version would carry the wrong labels.
+  const std::string dir = (fs::temp_directory_path() / "mcb_api_snapshots").string();
+  fs::remove_all(dir);
+  const TimePoint base = timepoint_from_ymd(2024, 1, 10);
+  JobStore store;
+  for (std::uint64_t id = 0; id < 60; ++id) {
+    store.insert(flip_job(id, base, static_cast<int>(id / 3)));
+  }
+  FrameworkConfig config;
+  config.registry_dir = dir;
+  config.model = ModelKind::kKnn;
+  config.alpha_days = 5;
+  Framework framework(config, store);
+  ApiServer api(framework);
+  ASSERT_TRUE(api.start(0));
+  const int port = api.port();
+  const auto train_body = [base](int day) {
+    return "{\"now\": " + std::to_string(base + static_cast<TimePoint>(day) * kSecondsPerDay) +
+           "}";
+  };
+  int status = 0;
+  std::string body;
+  ASSERT_TRUE(http_request(port, "POST", "/train", train_body(5), status, body));
+  ASSERT_EQ(status, 201);
+
+  std::vector<JobRecord> batch;
+  std::string batch_body = R"({"jobs":[)";
+  for (std::uint64_t id = 0; id < 6; ++id) {
+    batch.push_back(flip_job(1000 + id, base, 0));
+    batch_body += (id > 0 ? "," : "") + job_to_json(batch.back()).dump();
+  }
+  batch_body += "]}";
+
+  struct Served {
+    int status = 0;
+    std::string version;
+    std::vector<std::string> labels;
+  };
+  constexpr int kRetrains = 6;
+  std::atomic<bool> trained_all{false};
+  std::atomic<int> classified{0};
+  std::vector<Served> served[2];
+  const auto client = [&](std::vector<Served>& out) {
+    // One more request after the last retrain answered: it must see the
+    // model that retrain published.
+    for (bool last = false; !last;) {
+      last = trained_all.load();
+      HttpClientResponse response;
+      Served s;
+      if (http_request(port, "POST", "/classify_batch", batch_body, {}, response)) {
+        s.status = response.status;
+        s.version = response.headers["x-model-version"];
+        const auto json = Json::parse(response.body);
+        if (json.has_value() && (*json)["labels"].is_array()) {
+          for (const Json& label : (*json)["labels"].as_array()) {
+            s.labels.push_back(label.as_string());
+          }
+        }
+      }
+      out.push_back(std::move(s));
+      classified.fetch_add(1);
+    }
+  };
+  std::vector<int> train_statuses;
+  std::thread trainer([&] {
+    for (int k = 0; k < kRetrains; ++k) {
+      // Let both clients get requests in between retrains.
+      const int seen = classified.load();
+      const auto deadline = Clock::now() + std::chrono::seconds(30);
+      while (classified.load() < seen + 2 && Clock::now() < deadline) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      int train_status = 0;
+      std::string train_response;
+      http_request(port, "POST", "/train", train_body(k % 2 == 0 ? 15 : 5), train_status,
+                   train_response);
+      train_statuses.push_back(train_status);
+    }
+    trained_all.store(true);
+  });
+  std::thread client0(client, std::ref(served[0]));
+  std::thread client1(client, std::ref(served[1]));
+  trainer.join();
+  client0.join();
+  client1.join();
+  api.stop();
+
+  EXPECT_EQ(train_statuses, std::vector<int>(kRetrains, 201));
+  const std::uint32_t last_version = 1 + kRetrains;
+  ModelRegistry registry(dir);
+  const FeatureMatrix x = framework.encoder().encode_batch(batch);
+  std::map<std::uint32_t, std::vector<std::string>> expected;
+  for (std::uint32_t v = 1; v <= last_version; ++v) {
+    const auto model = registry.load(ModelKind::kKnn, "knn", v);
+    ASSERT_TRUE(model.has_value()) << "version " << v;
+    for (const Label label : model->inference(x.view())) {
+      expected[v].push_back(boundedness_name(to_boundedness(label)));
+    }
+  }
+  EXPECT_NE(expected[1], expected[2]);  // the windows really disagree
+
+  for (const auto& responses : served) {
+    ASSERT_FALSE(responses.empty());
+    std::uint32_t previous = 0;
+    for (const Served& s : responses) {
+      ASSERT_EQ(s.status, 200);
+      std::uint64_t version = 0;
+      ASSERT_TRUE(parse_u64(s.version, version)) << "'" << s.version << "'";
+      ASSERT_GE(version, 1U);
+      ASSERT_LE(version, last_version);
+      EXPECT_GE(version, previous) << "versions went down";
+      previous = static_cast<std::uint32_t>(version);
+      EXPECT_EQ(s.labels, expected[previous]) << "version " << previous;
+    }
+    EXPECT_EQ(previous, last_version);
+  }
+  fs::remove_all(dir);
 }
 
 }  // namespace
