@@ -47,7 +47,7 @@ int main(int argc, char** argv) {
 
   const FeatureEncoder encoder;
   StoreDataFetcher fetcher(store);
-  EncodingCache cache(encoder.dim());
+  ShardedEmbeddingCache cache(encoder.dim());
   const TrainingWorkflow training(fetcher, characterizer, encoder, &cache);
   const InferenceWorkflow inference(fetcher, encoder, &cache);
   std::vector<Boundedness> model_labels(february.size(), Boundedness::kMemoryBound);

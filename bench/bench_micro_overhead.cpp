@@ -255,10 +255,10 @@ void BM_ModelSerializeRf(benchmark::State& state) {
 BENCHMARK(BM_ModelSerializeRf);
 
 void BM_StoreRangeQuery(benchmark::State& state) {
-  static const JobStore& store = *[] {
-    static JobStore s;  // JobStore is immovable (owns a mutex); build in place
+  static const JobStore store = [] {
+    JobStore s;
     s.insert_all(sample_jobs());
-    return &s;
+    return s;
   }();
   JobQuery q;
   q.start_time = timepoint_from_ymd(2024, 1, 1);

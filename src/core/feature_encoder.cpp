@@ -25,32 +25,6 @@ std::vector<JobFeature> default_feature_set() {
           JobFeature::kEnvironment,    JobFeature::kFrequency};
 }
 
-const float* EncodingCache::lookup(std::uint64_t job_id) noexcept {
-  const auto it = index_.find(job_id);
-  if (it == index_.end()) {
-    ++misses_;
-    return nullptr;
-  }
-  ++hits_;
-  return rows_.data() + static_cast<std::size_t>(it->second) * dim_;
-}
-
-void EncodingCache::store(std::uint64_t job_id, std::span<const float> row) {
-  if (row.size() != dim_) return;
-  const auto it = index_.find(job_id);
-  if (it != index_.end()) return;  // already cached
-  const auto slot = static_cast<std::uint32_t>(index_.size());
-  index_.emplace(job_id, slot);
-  rows_.insert(rows_.end(), row.begin(), row.end());
-}
-
-void EncodingCache::clear() {
-  rows_.clear();
-  index_.clear();
-  hits_ = 0;
-  misses_ = 0;
-}
-
 FeatureEncoder::FeatureEncoder(std::vector<JobFeature> features, EncoderConfig encoder_config)
     : features_(std::move(features)), encoder_(std::move(encoder_config)) {}
 
@@ -75,52 +49,22 @@ std::vector<float> FeatureEncoder::encode(const JobRecord& job) const {
 }
 
 FeatureMatrix FeatureEncoder::encode_batch(std::span<const JobRecord> jobs,
-                                           EncodingCache* cache, ThreadPool* pool) const {
+                                           ThreadPool* pool) const {
   FeatureMatrix out(jobs.size(), dim());
-
-  if (cache == nullptr) {
-    parallel_for_each(
-        pool, 0, jobs.size(),
-        [&](std::size_t i) {
-          const auto vec = encode(jobs[i]);
-          std::copy(vec.begin(), vec.end(), out.row(i));
-        },
-        /*grain=*/16);
-    return out;
-  }
-
-  // Cache pass is serial (the cache is not synchronized); the expensive
-  // encoding of misses is farmed out to the pool.
-  std::vector<std::size_t> misses;
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    // job_id 0 marks an anonymous (ad-hoc) job: never cache it, or two
-    // different anonymous jobs would share one embedding.
-    const float* cached = jobs[i].job_id != 0 ? cache->lookup(jobs[i].job_id) : nullptr;
-    if (cached != nullptr) {
-      std::copy(cached, cached + dim(), out.row(i));
-    } else {
-      misses.push_back(i);
-    }
-  }
   parallel_for_each(
-      pool, 0, misses.size(),
-      [&](std::size_t m) {
-        const std::size_t i = misses[m];
+      pool, 0, jobs.size(),
+      [&](std::size_t i) {
         const auto vec = encode(jobs[i]);
         std::copy(vec.begin(), vec.end(), out.row(i));
       },
       /*grain=*/16);
-  for (const std::size_t i : misses) {
-    if (jobs[i].job_id != 0) {
-      cache->store(jobs[i].job_id, std::span<const float>(out.row(i), dim()));
-    }
-  }
   return out;
 }
 
 FeatureMatrix FeatureEncoder::encode_batch_cached(std::span<const JobRecord> jobs,
                                                   ShardedEmbeddingCache& cache,
-                                                  ThreadPool* pool) const {
+                                                  ThreadPool* pool,
+                                                  std::size_t* miss_count) const {
   FeatureMatrix out(jobs.size(), dim());
   std::vector<std::string> keys(jobs.size());
   std::vector<std::size_t> misses;
@@ -144,6 +88,7 @@ FeatureMatrix FeatureEncoder::encode_batch_cached(std::span<const JobRecord> job
         cache.insert(keys[i], vec);
       },
       /*grain=*/16);
+  if (miss_count != nullptr) *miss_count = misses.size();
   return out;
 }
 

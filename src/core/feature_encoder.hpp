@@ -6,16 +6,17 @@
 // (§V-A): user name, job name, #cores requested, #nodes requested,
 // environment, plus frequency requested.
 //
-// Encodings are content-addressed by job id in an EncodingCache so that
-// retraining re-uses the vectors computed by earlier Training/Inference
-// workflow triggers (paper §V-A: "we save the job characterizations and
-// encodings of every trigger ... to avoid redundant computations").
+// Encodings are cached by the feature string itself in a bounded
+// ShardedEmbeddingCache, so retraining and serving re-use the vectors
+// computed by earlier Training/Inference workflow triggers (paper §V-A:
+// "we save the job characterizations and encodings of every trigger ...
+// to avoid redundant computations"), and the identical jobs Fugaku
+// submits in batches (§V-C) share one entry whatever their job ids.
 #pragma once
 
 #include <cstdint>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "data/job_record.hpp"
@@ -41,29 +42,6 @@ const char* job_feature_name(JobFeature feature) noexcept;
 /// The paper's augmented feature set for Fugaku.
 std::vector<JobFeature> default_feature_set();
 
-/// Reusable job_id -> embedding store shared by the workflows.
-class EncodingCache {
- public:
-  explicit EncodingCache(std::size_t dim) : dim_(dim) {}
-
-  std::size_t dim() const noexcept { return dim_; }
-  std::size_t size() const noexcept { return index_.size(); }
-  std::uint64_t hits() const noexcept { return hits_; }
-  std::uint64_t misses() const noexcept { return misses_; }
-
-  /// Returns the cached row or nullptr; counts a hit/miss.
-  const float* lookup(std::uint64_t job_id) noexcept;
-  void store(std::uint64_t job_id, std::span<const float> row);
-  void clear();
-
- private:
-  std::size_t dim_;
-  std::vector<float> rows_;
-  std::unordered_map<std::uint64_t, std::uint32_t> index_;
-  std::uint64_t hits_ = 0;
-  std::uint64_t misses_ = 0;
-};
-
 class FeatureEncoder {
  public:
   explicit FeatureEncoder(std::vector<JobFeature> features = default_feature_set(),
@@ -79,19 +57,19 @@ class FeatureEncoder {
   /// Encode one job.
   std::vector<float> encode(const JobRecord& job) const;
 
-  /// Encode a batch into a row-major matrix; when `cache` is non-null,
-  /// hits are copied from the cache and misses are computed and stored.
-  FeatureMatrix encode_batch(std::span<const JobRecord> jobs, EncodingCache* cache = nullptr,
-                             ThreadPool* pool = nullptr) const;
+  /// Encode a batch into a row-major matrix, every row from scratch
+  /// (the uncached reference that encode_batch_cached must match).
+  FeatureMatrix encode_batch(std::span<const JobRecord> jobs, ThreadPool* pool = nullptr) const;
 
-  /// Encode a batch through the canonical-text LRU cache (serving fast
-  /// path): hits are copied under the shard lock, misses are encoded
-  /// (optionally in parallel) and inserted. Unlike the job-id-keyed
-  /// EncodingCache above, this deduplicates by *content*, so recurring
-  /// job names hit even across distinct job ids.
+  /// Encode a batch through the canonical-text LRU cache: hits are
+  /// copied under the shard lock, misses are encoded (optionally in
+  /// parallel) and inserted. Keyed by *content*, so recurring jobs hit
+  /// across distinct job ids. When `miss_count` is non-null it receives this
+  /// call's miss count (the batch's other rows were hits), exact even
+  /// while other threads use the same cache.
   FeatureMatrix encode_batch_cached(std::span<const JobRecord> jobs,
-                                    ShardedEmbeddingCache& cache,
-                                    ThreadPool* pool = nullptr) const;
+                                    ShardedEmbeddingCache& cache, ThreadPool* pool = nullptr,
+                                    std::size_t* miss_count = nullptr) const;
 
  private:
   std::vector<JobFeature> features_;

@@ -86,14 +86,9 @@ std::vector<Label> Framework::predict_batch(const ModelSnapshot& snapshot,
                                             std::span<const JobRecord> jobs,
                                             ShardedEmbeddingCache* text_cache) const {
   if (jobs.empty()) return {};
-  FeatureMatrix x;
-  if (text_cache != nullptr) {
-    // encode_batch_cached opens its own kCacheLookup/kEncode spans.
-    x = encoder_.encode_batch_cached(jobs, *text_cache, pool_);
-  } else {
-    obs::Span encode_span(obs::Stage::kEncode);
-    x = encoder_.encode_batch(jobs, nullptr, pool_);
-  }
+  // encode_batch_cached opens its own kCacheLookup/kEncode spans.
+  const FeatureMatrix x =
+      encoder_.encode_batch_cached(jobs, text_cache != nullptr ? *text_cache : cache_, pool_);
   obs::Span classify_span(obs::Stage::kClassify);
   return snapshot.model.inference(x.view(), pool_);
 }
@@ -101,9 +96,7 @@ std::vector<Label> Framework::predict_batch(const ModelSnapshot& snapshot,
 InferenceReport Framework::predict_range(TimePoint start, TimePoint end) const {
   const auto current = snapshot();
   if (current == nullptr) return {};
-  // No EncodingCache here: the training cache belongs to the train mutex,
-  // and readers never wait on it.
-  const InferenceWorkflow workflow(fetcher_, encoder_, nullptr, pool_);
+  const InferenceWorkflow workflow(fetcher_, encoder_, &cache_, pool_);
   return workflow.run(current->model, start, end);
 }
 

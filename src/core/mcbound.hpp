@@ -9,18 +9,23 @@
 //   framework.predict_range(a, b)   -> Inference Workflow (periodic batch)
 // The HTTP facade in src/serve exposes the same operations over JSON.
 //
-// Thread safety. The trained model is published as an immutable
-// ModelSnapshot behind a shared_ptr. Every call below is safe to make
-// concurrently with every other: any number of readers (predict_*,
-// snapshot, has_model, model_version, model) run alongside each other
-// and alongside one train_now / load_latest_model. Readers copy the
-// snapshot pointer once under a mutex held only for that copy, then
-// classify without any lock, so a retrain never stalls them. Writers
-// serialize on a private train mutex (a second train_now waits for the
-// first), build and save the candidate under it, and swap the pointer
-// only after the registry save succeeds. An old snapshot stays alive
-// until its last reader drops it. The accessors config(), encoder(),
-// characterizer(), registry() and store() return members fixed at
+// Thread safety. A serving framework shares exactly three things: the
+// job store (immutable once built), one bounded embedding cache
+// (internally synchronized) and the model-snapshot pointer. The trained
+// model is published as an immutable ModelSnapshot behind a shared_ptr.
+// Every call below is safe to make concurrently with every other: any
+// number of readers (predict_*, snapshot, has_model, model_version,
+// model) run alongside each other and alongside one train_now /
+// load_latest_model. Readers copy the snapshot pointer once under a
+// mutex held only for that copy, then classify without any lock, so a
+// retrain never stalls them. Writers serialize on a private train mutex
+// (a second train_now waits for the first), build and save the
+// candidate under it, and swap the pointer only after the registry save
+// succeeds. An old snapshot stays alive until its last reader drops it.
+// Training and inference encode through the same cache, keyed by the
+// feature string, so a retrain reuses the embeddings serving computed
+// and vice versa. The accessors config(), encoder(), characterizer(),
+// registry(), store() and embedding_cache() return members fixed at
 // construction.
 #pragma once
 
@@ -56,6 +61,8 @@ class Framework {
   const FeatureEncoder& encoder() const noexcept { return encoder_; }
   const ModelRegistry& registry() const noexcept { return registry_; }
   const JobStore& store() const noexcept { return *store_; }
+  /// The embedding cache behind train_now and predict_* (for its stats).
+  const ShardedEmbeddingCache& embedding_cache() const noexcept { return cache_; }
 
   /// The published model, or nullptr before the first successful
   /// train_now()/load_latest_model(). Load it once per request and use
@@ -86,10 +93,11 @@ class Framework {
   /// Inference Workflow for one not-yet-executed job.
   std::optional<Boundedness> predict_job(const JobRecord& job) const;
 
-  /// Batched Inference Workflow (serving fast path): encode all jobs —
-  /// through the canonical-text LRU cache when one is supplied — and
-  /// classify them in a single pool dispatch over the batched model
-  /// kernels. Returns an empty vector when no model is trained.
+  /// Batched Inference Workflow (serving fast path): encode all jobs
+  /// through the canonical-text LRU cache — the framework's own unless
+  /// `text_cache` names another — and classify them in a single pool
+  /// dispatch over the batched model kernels. Returns an empty vector
+  /// when no model is trained.
   std::vector<Label> predict_batch(std::span<const JobRecord> jobs,
                                    ShardedEmbeddingCache* text_cache = nullptr) const;
 
@@ -125,10 +133,12 @@ class Framework {
   FeatureEncoder encoder_;
   ThreadPool* pool_;
 
+  /// Internally synchronized; mutable because const predict_* fill it.
+  mutable ShardedEmbeddingCache cache_;
+
   /// Serializes writers: train_now, load_latest_model and the registry
   /// writes they make.
   Mutex train_mutex_;
-  EncodingCache cache_ MCB_GUARDED_BY(train_mutex_);
   ModelRegistry registry_;
 
   /// Held only to copy or swap snapshot_, never across training,

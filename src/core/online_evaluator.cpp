@@ -72,7 +72,7 @@ OnlineEvalResult OnlineEvaluator::evaluate(
     const std::function<ClassificationModel()>& make_model,
     const OnlineEvalConfig& config) const {
   StoreDataFetcher fetcher(*store_);
-  EncodingCache cache(encoder_->dim());
+  ShardedEmbeddingCache cache(encoder_->dim());
   const TrainingWorkflow training(fetcher, *characterizer_, *encoder_, &cache, pool_);
   const InferenceWorkflow inference(fetcher, *encoder_, &cache, pool_);
 

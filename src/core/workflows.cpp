@@ -31,8 +31,8 @@ std::vector<JobRecord> apply_theta(std::vector<JobRecord> jobs, const ThetaConfi
 
 TrainingWorkflow::TrainingWorkflow(const DataFetcher& fetcher,
                                    const Characterizer& characterizer,
-                                   const FeatureEncoder& encoder, EncodingCache* cache,
-                                   ThreadPool* pool)
+                                   const FeatureEncoder& encoder,
+                                   ShardedEmbeddingCache* cache, ThreadPool* pool)
     : fetcher_(&fetcher), characterizer_(&characterizer), encoder_(&encoder), cache_(cache),
       pool_(pool) {}
 
@@ -58,14 +58,15 @@ TrainingReport TrainingWorkflow::run(ClassificationModel& model, TimePoint windo
   std::transform(raw_labels.begin(), raw_labels.end(), labels.begin(),
                  [](Boundedness b) { return to_label(b); });
 
-  const std::uint64_t hits_before = cache_ != nullptr ? cache_->hits() : 0;
-  const std::uint64_t misses_before = cache_ != nullptr ? cache_->misses() : 0;
   sw.reset();
-  const FeatureMatrix x = encoder_->encode_batch(jobs, cache_, pool_);
+  std::size_t misses = 0;
+  const FeatureMatrix x = cache_ != nullptr
+                              ? encoder_->encode_batch_cached(jobs, *cache_, pool_, &misses)
+                              : encoder_->encode_batch(jobs, pool_);
   report.encode_seconds = sw.seconds();
   if (cache_ != nullptr) {
-    report.cache_hits = cache_->hits() - hits_before;
-    report.cache_misses = cache_->misses() - misses_before;
+    report.cache_hits = jobs.size() - misses;
+    report.cache_misses = misses;
   }
 
   sw.reset();
@@ -109,7 +110,7 @@ TrainingReport TrainingWorkflow::run_baseline(LookupBaseline& baseline,
 }
 
 InferenceWorkflow::InferenceWorkflow(const DataFetcher& fetcher, const FeatureEncoder& encoder,
-                                     EncodingCache* cache, ThreadPool* pool)
+                                     ShardedEmbeddingCache* cache, ThreadPool* pool)
     : fetcher_(&fetcher), encoder_(&encoder), cache_(cache), pool_(pool) {}
 
 InferenceReport InferenceWorkflow::run(const ClassificationModel& model, TimePoint start,
@@ -130,7 +131,8 @@ InferenceReport InferenceWorkflow::run_jobs(const ClassificationModel& model,
   if (jobs.empty()) return report;
 
   Stopwatch sw;
-  const FeatureMatrix x = encoder_->encode_batch(jobs, cache_, pool_);
+  const FeatureMatrix x = cache_ != nullptr ? encoder_->encode_batch_cached(jobs, *cache_, pool_)
+                                            : encoder_->encode_batch(jobs, pool_);
   report.encode_seconds = sw.seconds();
 
   sw.reset();

@@ -1,12 +1,16 @@
 // The two CI/CD workflows of Figure 1.
 //
 // Training Workflow:  fetch jobs *executed* in the last alpha days ->
-// characterize (Roofline labels) -> encode (cache-aware) -> train the
-// Classification Model. Optionally sub-samples the window to theta jobs
-// (latest-first or uniformly at random — the paper's third experiment).
+// characterize (Roofline labels) -> encode -> train the Classification
+// Model. Optionally sub-samples the window to theta jobs (latest-first
+// or uniformly at random — the paper's third experiment).
 //
 // Inference Workflow: fetch newly *submitted* jobs -> encode -> predict
 // memory/compute-bound labels before the jobs execute.
+//
+// Both encode through the ShardedEmbeddingCache they are given (the
+// Framework shares its one cache with serving) or, given none, with the
+// uncached FeatureEncoder::encode_batch.
 #pragma once
 
 #include <cstdint>
@@ -43,7 +47,7 @@ struct TrainingReport {
   double characterize_seconds = 0.0;
   double encode_seconds = 0.0;
   double train_seconds = 0.0;         ///< model fit only (paper's "training time")
-  std::uint64_t cache_hits = 0;
+  std::uint64_t cache_hits = 0;       ///< this run's lookups only (0 without a cache)
   std::uint64_t cache_misses = 0;
   /// Registry version the trained model was saved and published as
   /// (Framework::train_now); nullopt when nothing was published.
@@ -53,7 +57,7 @@ struct TrainingReport {
 class TrainingWorkflow {
  public:
   TrainingWorkflow(const DataFetcher& fetcher, const Characterizer& characterizer,
-                   const FeatureEncoder& encoder, EncodingCache* cache = nullptr,
+                   const FeatureEncoder& encoder, ShardedEmbeddingCache* cache = nullptr,
                    ThreadPool* pool = nullptr);
 
   /// Train `model` on the jobs executed in [window_start, window_end).
@@ -70,7 +74,7 @@ class TrainingWorkflow {
   const DataFetcher* fetcher_;
   const Characterizer* characterizer_;
   const FeatureEncoder* encoder_;
-  EncodingCache* cache_;
+  ShardedEmbeddingCache* cache_;
   ThreadPool* pool_;
 };
 
@@ -93,7 +97,7 @@ struct InferenceReport {
 class InferenceWorkflow {
  public:
   InferenceWorkflow(const DataFetcher& fetcher, const FeatureEncoder& encoder,
-                    EncodingCache* cache = nullptr, ThreadPool* pool = nullptr);
+                    ShardedEmbeddingCache* cache = nullptr, ThreadPool* pool = nullptr);
 
   /// Predict for all jobs *submitted* in [start, end).
   InferenceReport run(const ClassificationModel& model, TimePoint start, TimePoint end) const;
@@ -109,7 +113,7 @@ class InferenceWorkflow {
  private:
   const DataFetcher* fetcher_;
   const FeatureEncoder* encoder_;
-  EncodingCache* cache_;
+  ShardedEmbeddingCache* cache_;
   ThreadPool* pool_;
 };
 

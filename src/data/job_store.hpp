@@ -9,22 +9,14 @@
 //     (what the Inference Workflow fetches),
 //   * CSV persistence (our stand-in for the F-DATA export).
 //
-// Records are kept sorted by end_time; insertion is amortized append
-// (the workload generator emits jobs roughly in completion order) with a
-// lazy re-sort when out-of-order inserts accumulate.
-//
-// Concurrency: the store is internally synchronized by a reader/writer
-// SharedMutex — the serving layer reads it from HTTP handlers while
-// ingest code appends (paper §III: the online framework's Data Fetcher
-// and Inference Workflow run concurrently). Reads take a shared hold
-// when the lazy indexes are fresh and upgrade to exclusive only to
-// rebuild them. Two kinds of read API:
-//   * copying (find_record, query_records, size, min/max_end_time):
-//     safe under concurrent insert — results are materialized under the
-//     lock.
-//   * borrowing (find, query, all): return pointers/spans into the
-//     table; insert invalidates them, so they are for single-writer
-//     phases (analysis passes, tests) — not for concurrent use.
+// Build once, then read. insert_all and load_csv are the only writers:
+// each sorts the records by (end_time, job_id) and builds the id and
+// submit-time indexes before it returns, in any input order. After
+// that the store is immutable, and every const member is a plain read
+// with no lock, so any number of threads (HTTP handlers, training,
+// analysis passes) may share one store. A writer must not run while
+// other threads read: it invalidates the pointers and spans that
+// find, query and all hand out.
 #pragma once
 
 #include <cstdint>
@@ -36,7 +28,6 @@
 #include <vector>
 
 #include "data/job_record.hpp"
-#include "util/sync.hpp"
 #include "util/time.hpp"
 
 namespace mcb {
@@ -58,84 +49,47 @@ struct JobQuery {
 
 class JobStore {
  public:
-  JobStore() = default;
+  /// Bulk insert in any order; returns the number of records actually
+  /// inserted. A job id already in the store, or repeated within
+  /// `jobs`, is rejected (the first record with that id wins). Each
+  /// call re-sorts and re-indexes the whole store: build it in one call.
+  std::size_t insert_all(std::vector<JobRecord> jobs);
 
-  /// Move is a construction-time hand-off (workload builders return
-  /// stores by value); the source must not be in concurrent use. Each
-  /// store keeps its own mutex — only the data moves.
-  JobStore(JobStore&& other) noexcept;
-  JobStore(const JobStore&) = delete;
-  JobStore& operator=(const JobStore&) = delete;
-  JobStore& operator=(JobStore&&) = delete;
+  std::size_t size() const noexcept { return jobs_.size(); }
+  bool empty() const noexcept { return jobs_.empty(); }
 
-  /// Insert one record. Duplicate job ids are rejected (returns false).
-  bool insert(JobRecord job) MCB_EXCLUDES(mutex_);
-
-  /// Bulk insert; returns the number of records actually inserted.
-  std::size_t insert_all(std::vector<JobRecord> jobs) MCB_EXCLUDES(mutex_);
-
-  std::size_t size() const MCB_EXCLUDES(mutex_);
-  bool empty() const MCB_EXCLUDES(mutex_);
-
-  /// Lookup by id; nullptr if absent. Pointers are invalidated by insert
-  /// (single-writer phases only — concurrent readers use find_record).
-  const JobRecord* find(std::uint64_t job_id) const MCB_EXCLUDES(mutex_);
-
-  /// Copying lookup, safe while other threads insert.
-  std::optional<JobRecord> find_record(std::uint64_t job_id) const
-      MCB_EXCLUDES(mutex_);
+  /// Lookup by id; nullptr if absent.
+  const JobRecord* find(std::uint64_t job_id) const;
 
   /// Execute a range query; results ordered by the queried time field.
-  /// Borrowing variant — see find() for the invalidation caveat.
-  std::vector<const JobRecord*> query(const JobQuery& q) const MCB_EXCLUDES(mutex_);
+  std::vector<const JobRecord*> query(const JobQuery& q) const;
 
-  /// Copying range query, safe while other threads insert: matching
-  /// records are materialized under the store lock.
-  std::vector<JobRecord> query_records(const JobQuery& q) const MCB_EXCLUDES(mutex_);
-
-  /// All records ordered by end_time (stable view for analysis passes;
-  /// invalidated by insert like the other borrowing reads).
-  std::span<const JobRecord> all() const MCB_EXCLUDES(mutex_);
+  /// All records ordered by (end_time, job_id).
+  std::span<const JobRecord> all() const noexcept { return jobs_; }
 
   /// Earliest / latest end_time in the store (0 if empty).
-  TimePoint min_end_time() const MCB_EXCLUDES(mutex_);
-  TimePoint max_end_time() const MCB_EXCLUDES(mutex_);
+  TimePoint min_end_time() const noexcept;
+  TimePoint max_end_time() const noexcept;
 
   /// CSV persistence. save() writes header + one row per record;
   /// load() replaces the store contents. Both return false on I/O or
-  /// parse failure (load leaves a partially-filled store on failure).
+  /// parse failure; a failed load leaves the store as it was.
   /// Malformed input (truncated rows, non-numeric fields, duplicate job
   /// ids, mismatched header) is always reported through `error` with the
   /// offending data row — never an abort or exception.
-  bool save_csv(const std::string& path) const MCB_EXCLUDES(mutex_);
-  bool load_csv(const std::string& path, std::string* error = nullptr)
-      MCB_EXCLUDES(mutex_);
+  bool save_csv(const std::string& path) const;
+  bool load_csv(const std::string& path, std::string* error = nullptr);
   /// Stream variant of load_csv (used directly by the fuzz harness).
-  bool load_csv(std::istream& in, std::string* error = nullptr) MCB_EXCLUDES(mutex_);
+  bool load_csv(std::istream& in, std::string* error = nullptr);
 
  private:
-  bool insert_locked(JobRecord job) MCB_REQUIRES(mutex_);
-  void ensure_sorted_locked() const MCB_REQUIRES(mutex_);
-  void ensure_submit_index_locked() const MCB_REQUIRES(mutex_);
-  bool sorted_ready_locked() const MCB_REQUIRES_SHARED(mutex_);
-  bool find_ready_locked() const MCB_REQUIRES_SHARED(mutex_);
-  bool query_ready_locked(JobQuery::TimeField field) const
-      MCB_REQUIRES_SHARED(mutex_);
-  const JobRecord* find_locked(std::uint64_t job_id) const
-      MCB_REQUIRES_SHARED(mutex_);
-  std::vector<const JobRecord*> query_locked(const JobQuery& q) const
-      MCB_REQUIRES_SHARED(mutex_);
+  /// Sort jobs_ and rebuild both indexes; id_index_ must already hold
+  /// exactly the ids in jobs_ (their slots are reassigned here).
+  void build_indexes();
 
-  mutable SharedMutex mutex_;
-  mutable std::vector<JobRecord> jobs_
-      MCB_GUARDED_BY(mutex_);  // sorted by (end_time, job_id)
-  mutable bool sorted_ MCB_GUARDED_BY(mutex_) = true;
-  mutable std::vector<std::uint32_t> by_submit_
-      MCB_GUARDED_BY(mutex_);  // indices sorted by submit_time
-  mutable bool submit_index_valid_ MCB_GUARDED_BY(mutex_) = false;
-  mutable std::unordered_map<std::uint64_t, std::uint32_t> id_index_
-      MCB_GUARDED_BY(mutex_);  // id -> slot
-  mutable bool id_index_valid_ MCB_GUARDED_BY(mutex_) = true;
+  std::vector<JobRecord> jobs_;                            // sorted by (end_time, job_id)
+  std::vector<std::uint32_t> by_submit_;                   // slots sorted by (submit_time, job_id)
+  std::unordered_map<std::uint64_t, std::uint32_t> id_index_;  // id -> slot
 };
 
 }  // namespace mcb

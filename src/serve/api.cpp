@@ -110,11 +110,9 @@ std::optional<JobRecord> parse_job_body(const HttpRequest& request, HttpResponse
 
 }  // namespace
 
-ApiServer::ApiServer(Framework& framework, ServerConfig server_config,
-                     EmbeddingCacheConfig cache_config)
+ApiServer::ApiServer(Framework& framework, ServerConfig server_config)
     : framework_(framework),
       server_(server_config),
-      embedding_cache_(framework.encoder().dim(), cache_config),
       stage_profile_(server_.tracer(), framework.characterizer()),
       app_collector_([this](std::vector<obs::MetricFamily>& out) {
         collect_app_metrics(out);
@@ -158,7 +156,8 @@ void ApiServer::collect_app_metrics(std::vector<obs::MetricFamily>& out) const {
     ops.name = "mcb_embedding_cache_ops_total";
     ops.help = "Embedding-cache operations by kind.";
     ops.type = obs::MetricType::kCounter;
-    const auto stats = embedding_cache_.stats();
+    const ShardedEmbeddingCache& cache = framework_.embedding_cache();
+    const auto stats = cache.stats();
     const std::pair<const char*, std::uint64_t> kinds[] = {
         {"hit", stats.hits},
         {"miss", stats.misses},
@@ -176,9 +175,9 @@ void ApiServer::collect_app_metrics(std::vector<obs::MetricFamily>& out) const {
     size.help = "Embedding-cache entries (current / capacity).";
     size.type = obs::MetricType::kGauge;
     size.points.push_back(obs::scalar_point(
-        {{"kind", "current"}}, static_cast<double>(embedding_cache_.size())));
+        {{"kind", "current"}}, static_cast<double>(cache.size())));
     size.points.push_back(obs::scalar_point(
-        {{"kind", "capacity"}}, static_cast<double>(embedding_cache_.capacity())));
+        {{"kind", "capacity"}}, static_cast<double>(cache.capacity())));
     out.push_back(std::move(size));
   }
 
@@ -424,13 +423,13 @@ HttpResponse ApiServer::handle_jobs(const HttpRequest& request) {
                                   : JobQuery::TimeField::kEndTime;
   query.start_time = from;
   query.end_time = to;
-  // The store is internally synchronized.
-  const std::vector<JobRecord> jobs = framework_.store().query_records(query);
+  // The store is immutable while serving, so its records can be read in place.
+  const std::vector<const JobRecord*> jobs = framework_.store().query(query);
   Json body = Json::object();
   body.set("count", static_cast<std::int64_t>(jobs.size()));
   Json list = Json::array();
   for (std::size_t i = 0; i < jobs.size() && i < static_cast<std::size_t>(limit); ++i) {
-    list.push_back(job_to_json(jobs[i]));
+    list.push_back(job_to_json(*jobs[i]));
   }
   body.set("jobs", list);
   return HttpResponse::json(200, body.dump());
@@ -518,7 +517,7 @@ HttpResponse ApiServer::handle_predict(const HttpRequest& request) {
   if (snapshot == nullptr) return error_response(503, "no trained model; POST /train first");
   // Single-job requests ride the batched fast path too, so recurring
   // submissions (same canonical feature string) hit the embedding cache.
-  const auto labels = framework_.predict_batch(*snapshot, {&*job, 1}, &embedding_cache_);
+  const auto labels = framework_.predict_batch(*snapshot, {&*job, 1});
   if (labels.empty()) return error_response(500, "prediction failed");
   Json body = Json::object();
   body.set("job_id", static_cast<std::int64_t>(job->job_id));
@@ -562,7 +561,7 @@ HttpResponse ApiServer::handle_classify_batch(const HttpRequest& request) {
 
   const auto snapshot = framework_.snapshot();
   if (snapshot == nullptr) return error_response(503, "no trained model; POST /train first");
-  const std::vector<Label> labels = framework_.predict_batch(*snapshot, jobs, &embedding_cache_);
+  const std::vector<Label> labels = framework_.predict_batch(*snapshot, jobs);
   if (labels.size() != jobs.size()) return error_response(500, "prediction failed");
 
   // relaxed: independent monotonic batch counters read only by

@@ -24,8 +24,9 @@
 // characterizer, config, store). /train admits one caller at a time
 // through an atomic flag; a second concurrent /train gets 409. /predict
 // and /classify_batch run the batched inference fast path: embeddings
-// come from a sharded canonical-text LRU cache (recurring job names hit
-// without encoding) and the whole batch goes through the flat-forest /
+// come from the Framework's sharded canonical-text LRU cache, the one
+// /train also encodes through (recurring job names hit without
+// encoding), and the whole batch goes through the flat-forest /
 // tiled-KNN kernels in one pool dispatch.
 #pragma once
 
@@ -38,7 +39,6 @@
 #include "obs/perf/counters.hpp"
 #include "roofline/stage_profile.hpp"
 #include "serve/server.hpp"
-#include "text/embedding_cache.hpp"
 #include "util/json.hpp"
 
 namespace mcb {
@@ -52,19 +52,14 @@ std::optional<JobRecord> job_from_json(const Json& json, std::string* error = nu
 class ApiServer {
  public:
   /// `server_config` tunes the connection executor (pool size, pending
-  /// queue bound, timeouts, drain budget) — see ServerConfig;
-  /// `cache_config` sizes the canonical-text embedding cache.
-  explicit ApiServer(Framework& framework, ServerConfig server_config = {},
-                     EmbeddingCacheConfig cache_config = {});
+  /// queue bound, timeouts, drain budget) — see ServerConfig.
+  explicit ApiServer(Framework& framework, ServerConfig server_config = {});
 
   /// Start serving on the given port (0 = ephemeral). Returns false on
   /// bind failure.
   bool start(int port);
   void stop() { server_.stop(); }
   int port() const noexcept { return server_.port(); }
-
-  /// The serving-side embedding cache (exposed for tests/ops).
-  ShardedEmbeddingCache& embedding_cache() noexcept { return embedding_cache_; }
 
   /// The metrics registry (server + tracer + stage profile + app
   /// families), the one metrics surface: GET /metrics returns
@@ -104,7 +99,6 @@ class ApiServer {
   Framework& framework_;  ///< internally synchronized (core/mcbound.hpp)
   HttpServer server_;
 
-  mutable ShardedEmbeddingCache embedding_cache_;
   /// Set while a /train runs; a concurrent /train answers 409 instead of
   /// waiting. Exported as mcb_train_in_progress.
   std::atomic<bool> training_{false};

@@ -10,9 +10,8 @@
 // to nothing, so the annotations are zero-cost documentation there.
 //
 // The annotated wrappers that carry these attributes live in
-// util/sync.hpp (mcb::Mutex, mcb::SharedMutex, the scoped MutexLock /
-// ExclusiveLock / SharedLock guards, mcb::CondVar); library code uses
-// those, never raw std primitives (lint rule R6).
+// util/sync.hpp (mcb::Mutex, the scoped MutexLock guard, mcb::CondVar);
+// library code uses those, never raw std primitives (lint rule R6).
 #pragma once
 
 #if defined(__clang__)
@@ -28,8 +27,7 @@
 /// releases a capability (lock objects like mcb::MutexLock).
 #define MCB_SCOPED_CAPABILITY MCB_THREAD_ANNOTATION(scoped_lockable)
 
-/// Data member readable/writable only while `x` is held (shared hold
-/// permits reads; exclusive hold permits writes).
+/// Data member readable/writable only while `x` is held.
 #define MCB_GUARDED_BY(x) MCB_THREAD_ANNOTATION(guarded_by(x))
 
 /// Function requires the capability held exclusively on entry (and does
@@ -37,31 +35,16 @@
 #define MCB_REQUIRES(...) \
   MCB_THREAD_ANNOTATION(requires_capability(__VA_ARGS__))
 
-/// Function requires at least a shared hold on entry.
-#define MCB_REQUIRES_SHARED(...) \
-  MCB_THREAD_ANNOTATION(requires_shared_capability(__VA_ARGS__))
-
-/// Function acquires the capability (exclusively) and holds it on exit.
+/// Function acquires the capability and holds it on exit.
 #define MCB_ACQUIRE(...) MCB_THREAD_ANNOTATION(acquire_capability(__VA_ARGS__))
 
-/// Function acquires a shared hold on the capability.
-#define MCB_ACQUIRE_SHARED(...) \
-  MCB_THREAD_ANNOTATION(acquire_shared_capability(__VA_ARGS__))
-
-/// Function releases the capability (either hold kind for scoped locks).
+/// Function releases the capability.
 #define MCB_RELEASE(...) MCB_THREAD_ANNOTATION(release_capability(__VA_ARGS__))
-
-/// Function releases a shared hold on the capability.
-#define MCB_RELEASE_SHARED(...) \
-  MCB_THREAD_ANNOTATION(release_shared_capability(__VA_ARGS__))
 
 /// Function attempts the acquisition; holds it iff the return value
 /// equals the first macro argument.
 #define MCB_TRY_ACQUIRE(...) \
   MCB_THREAD_ANNOTATION(try_acquire_capability(__VA_ARGS__))
-
-#define MCB_TRY_ACQUIRE_SHARED(...) \
-  MCB_THREAD_ANNOTATION(try_acquire_shared_capability(__VA_ARGS__))
 
 /// Caller must NOT hold the capability (non-reentrant public APIs that
 /// lock internally).

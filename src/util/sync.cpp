@@ -6,13 +6,6 @@ void Mutex::lock() { mutex_.lock(); }
 void Mutex::unlock() { mutex_.unlock(); }
 bool Mutex::try_lock() { return mutex_.try_lock(); }
 
-void SharedMutex::lock() { mutex_.lock(); }
-void SharedMutex::unlock() { mutex_.unlock(); }
-bool SharedMutex::try_lock() { return mutex_.try_lock(); }
-void SharedMutex::lock_shared() { mutex_.lock_shared(); }
-void SharedMutex::unlock_shared() { mutex_.unlock_shared(); }
-bool SharedMutex::try_lock_shared() { return mutex_.try_lock_shared(); }
-
 // The std::condition_variable API wants a std unique lock, but our
 // callers hold the annotated mcb::Mutex. Bridge with the adopt/release
 // trick: wrap the already-held native mutex without locking it, let the

@@ -17,7 +17,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
-#include <shared_mutex>
 
 #include "util/annotations.hpp"
 
@@ -41,29 +40,10 @@ class MCB_CAPABILITY("mutex") Mutex {
   std::mutex mutex_;
 };
 
-/// Reader/writer mutex: any number of shared holders or one exclusive.
-class MCB_CAPABILITY("shared_mutex") SharedMutex {
- public:
-  SharedMutex() = default;
-  SharedMutex(const SharedMutex&) = delete;
-  SharedMutex& operator=(const SharedMutex&) = delete;
-
-  void lock() MCB_ACQUIRE();
-  void unlock() MCB_RELEASE();
-  bool try_lock() MCB_TRY_ACQUIRE(true);
-
-  void lock_shared() MCB_ACQUIRE_SHARED();
-  void unlock_shared() MCB_RELEASE_SHARED();
-  bool try_lock_shared() MCB_TRY_ACQUIRE_SHARED(true);
-
- private:
-  std::shared_mutex mutex_;
-};
-
-/// Scoped exclusive lock over Mutex. One scoped type per mutex kind —
-/// each touches exactly one capability, the shape the analysis models
-/// best (mirrors the MutexLocker example in the Clang docs). Supports
-/// early release + reacquire; the analysis tracks both.
+/// Scoped exclusive lock over Mutex; it touches exactly one capability,
+/// the shape the analysis models best (mirrors the MutexLocker example
+/// in the Clang docs). Supports early release + reacquire; the analysis
+/// tracks both.
 class MCB_SCOPED_CAPABILITY MutexLock {
  public:
   explicit MutexLock(Mutex& mutex) MCB_ACQUIRE(mutex) : mutex_(mutex) {
@@ -89,55 +69,6 @@ class MCB_SCOPED_CAPABILITY MutexLock {
 
  private:
   Mutex& mutex_;
-  bool owned_ = true;
-};
-
-/// Scoped exclusive (writer) lock over SharedMutex.
-class MCB_SCOPED_CAPABILITY ExclusiveLock {
- public:
-  explicit ExclusiveLock(SharedMutex& mutex) MCB_ACQUIRE(mutex) : mutex_(mutex) {
-    mutex.lock();
-  }
-  ~ExclusiveLock() MCB_RELEASE() {
-    if (owned_) mutex_.unlock();
-  }
-
-  ExclusiveLock(const ExclusiveLock&) = delete;
-  ExclusiveLock& operator=(const ExclusiveLock&) = delete;
-
-  /// Release the exclusive hold before end of scope.
-  void unlock() MCB_RELEASE() {
-    mutex_.unlock();
-    owned_ = false;
-  }
-
- private:
-  SharedMutex& mutex_;
-  bool owned_ = true;
-};
-
-/// Scoped shared (reader) lock over SharedMutex.
-class MCB_SCOPED_CAPABILITY SharedLock {
- public:
-  explicit SharedLock(SharedMutex& mutex) MCB_ACQUIRE_SHARED(mutex)
-      : mutex_(mutex) {
-    mutex.lock_shared();
-  }
-  ~SharedLock() MCB_RELEASE() {
-    if (owned_) mutex_.unlock_shared();
-  }
-
-  SharedLock(const SharedLock&) = delete;
-  SharedLock& operator=(const SharedLock&) = delete;
-
-  /// Release the shared hold before end of scope.
-  void unlock() MCB_RELEASE() {
-    mutex_.unlock_shared();
-    owned_ = false;
-  }
-
- private:
-  SharedMutex& mutex_;
   bool owned_ = true;
 };
 

@@ -4,8 +4,10 @@
 // JSON config and the Framework facade.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <thread>
 
 #include "core/config.hpp"
 #include "core/mcbound.hpp"
@@ -97,58 +99,59 @@ TEST(FeatureEncoder, FrequencyChangesEncoding) {
   EXPECT_NE(encoder.encode(a), encoder.encode(b));
 }
 
-TEST(EncodingCache, HitsAndMisses) {
+TEST(CachedEncoding, ReportsThisCallsMisses) {
   const FeatureEncoder encoder;
-  EncodingCache cache(encoder.dim());
+  ShardedEmbeddingCache cache(encoder.dim());
   std::vector<JobRecord> jobs{submission(1, "a", "x"), submission(2, "b", "y")};
-  const FeatureMatrix first = encoder.encode_batch(jobs, &cache);
-  EXPECT_EQ(cache.misses(), 2U);
-  EXPECT_EQ(cache.hits(), 0U);
+  std::size_t misses = 0;
+  const FeatureMatrix first = encoder.encode_batch_cached(jobs, cache, nullptr, &misses);
+  EXPECT_EQ(misses, 2U);
   EXPECT_EQ(cache.size(), 2U);
 
-  const FeatureMatrix second = encoder.encode_batch(jobs, &cache);
-  EXPECT_EQ(cache.hits(), 2U);
+  const FeatureMatrix second = encoder.encode_batch_cached(jobs, cache, nullptr, &misses);
+  EXPECT_EQ(misses, 0U);
+  EXPECT_EQ(cache.stats().hits, 2U);
   EXPECT_EQ(second.storage(), first.storage());
 }
 
-TEST(EncodingCache, CachedRowsMatchFreshEncoding) {
+TEST(CachedEncoding, CachedRowsMatchFreshEncoding) {
   const FeatureEncoder encoder;
-  EncodingCache cache(encoder.dim());
-  std::vector<JobRecord> jobs{submission(7, "u9", "qcd_run_z")};
-  encoder.encode_batch(jobs, &cache);
-  const float* row = cache.lookup(7);
-  ASSERT_NE(row, nullptr);
-  const auto fresh = encoder.encode(jobs[0]);
-  for (std::size_t i = 0; i < encoder.dim(); ++i) EXPECT_EQ(row[i], fresh[i]);
+  ShardedEmbeddingCache cache(encoder.dim());
+  // A repeated string and a recurring job under a new id: both hit.
+  std::vector<JobRecord> jobs{submission(7, "u9", "qcd_run_z"), submission(8, "u9", "qcd_run_z"),
+                              submission(9, "u1", "wrf_sim_a", 4, FrequencyMode::kBoost)};
+  const FeatureMatrix fresh = encoder.encode_batch(jobs);
+  EXPECT_EQ(encoder.encode_batch_cached(jobs, cache).storage(), fresh.storage());  // misses
+  EXPECT_EQ(encoder.encode_batch_cached(jobs, cache).storage(), fresh.storage());  // hits
 }
 
-TEST(EncodingCache, AnonymousJobsAreNeverCached) {
+TEST(CachedEncoding, AnonymousJobsWithDifferentTextGetDifferentRows) {
   // Regression: two ad-hoc jobs with job_id == 0 must not share an
-  // embedding through the cache.
+  // embedding through the cache. The key is the text, not the id.
   const FeatureEncoder encoder;
-  EncodingCache cache(encoder.dim());
+  ShardedEmbeddingCache cache(encoder.dim());
   std::vector<JobRecord> first{submission(0, "u1", "stream_app")};
   std::vector<JobRecord> second{submission(0, "u2", "dgemm_app")};
-  const FeatureMatrix a = encoder.encode_batch(first, &cache);
-  const FeatureMatrix b = encoder.encode_batch(second, &cache);
-  EXPECT_EQ(cache.size(), 0U);
+  const FeatureMatrix a = encoder.encode_batch_cached(first, cache);
+  const FeatureMatrix b = encoder.encode_batch_cached(second, cache);
+  EXPECT_EQ(cache.size(), 2U);
   EXPECT_NE(a.storage(), b.storage());
+  EXPECT_EQ(a.storage(), encoder.encode_batch(first).storage());
+  EXPECT_EQ(b.storage(), encoder.encode_batch(second).storage());
 }
 
-TEST(EncodingCache, ClearResets) {
-  EncodingCache cache(4);
-  const std::vector<float> row{1, 2, 3, 4};
-  cache.store(1, row);
-  cache.clear();
-  EXPECT_EQ(cache.size(), 0U);
-  EXPECT_EQ(cache.lookup(1), nullptr);
-}
-
-TEST(EncodingCache, RejectsWrongDimension) {
-  EncodingCache cache(4);
-  const std::vector<float> row{1, 2};
-  cache.store(1, row);
-  EXPECT_EQ(cache.size(), 0U);
+TEST(CachedEncoding, WindowWiderThanCapacityStaysBounded) {
+  const FeatureEncoder encoder;
+  ShardedEmbeddingCache cache(encoder.dim(), EmbeddingCacheConfig{.capacity = 8, .shards = 2});
+  std::vector<JobRecord> jobs;
+  for (std::uint64_t i = 0; i < 50; ++i) {
+    jobs.push_back(submission(i, "u1", "app_" + std::to_string(i)));
+  }
+  const FeatureMatrix fresh = encoder.encode_batch(jobs);
+  for (int round = 0; round < 2; ++round) {
+    EXPECT_EQ(encoder.encode_batch_cached(jobs, cache).storage(), fresh.storage());
+    EXPECT_LE(cache.size(), cache.capacity());
+  }
 }
 
 // ------------------------------------------------- classification model
@@ -230,13 +233,15 @@ class WorkflowTest : public ::testing::Test {
   void SetUp() override {
     // 40 memory-bound "stream_app" + 40 compute-bound "dgemm_app" jobs
     // executed across 4 days.
+    std::vector<JobRecord> jobs;
     for (std::uint64_t i = 1; i <= 80; ++i) {
       const bool compute = i % 2 == 1;
       JobRecord job = executed(i, compute ? "dgemm_app" : "stream_app", compute,
                                base_ + static_cast<TimePoint>(i) * 3600);
       job.user_name = compute ? "u00002" : "u00001";
-      store_.insert(std::move(job));
+      jobs.push_back(std::move(job));
     }
+    store_.insert_all(std::move(jobs));
   }
 
   TimePoint base_ = timepoint_from_ymd(2024, 1, 1) + 1000;
@@ -247,7 +252,7 @@ class WorkflowTest : public ::testing::Test {
 
 TEST_F(WorkflowTest, TrainingWorkflowProducesWorkingModel) {
   StoreDataFetcher fetcher(store_);
-  EncodingCache cache(encoder_.dim());
+  ShardedEmbeddingCache cache(encoder_.dim());
   const TrainingWorkflow training(fetcher, characterizer_, encoder_, &cache);
 
   ClassificationModel model(ModelKind::kKnn);
@@ -295,7 +300,7 @@ TEST_F(WorkflowTest, TrainingReportTimesArePopulated) {
 
 TEST_F(WorkflowTest, InferenceWorkflowFetchesBySubmitTime) {
   StoreDataFetcher fetcher(store_);
-  EncodingCache cache(encoder_.dim());
+  ShardedEmbeddingCache cache(encoder_.dim());
   const TrainingWorkflow training(fetcher, characterizer_, encoder_, &cache);
   ClassificationModel model(ModelKind::kKnn);
   training.run(model, 0, timepoint_from_ymd(2024, 2, 1));
@@ -339,10 +344,10 @@ TEST_F(WorkflowTest, ThetaRestrictsTrainingSize) {
 // ------------------------------------------------------ online evaluator
 
 TEST(OnlineEvaluator, PerfectlySeparableWorkloadScoresHigh) {
-  JobStore store;
   const TimePoint start = timepoint_from_ymd(2023, 12, 1);
   const TimePoint test_start = timepoint_from_ymd(2023, 12, 20);
   const TimePoint test_end = timepoint_from_ymd(2023, 12, 27);
+  std::vector<JobRecord> jobs;
   std::uint64_t id = 0;
   for (TimePoint t = start; t < test_end; t += 3600) {
     const bool compute = (id % 2) == 1;
@@ -350,9 +355,11 @@ TEST(OnlineEvaluator, PerfectlySeparableWorkloadScoresHigh) {
     job.user_name = compute ? "u2" : "u1";
     job.submit_time = t;
     job.start_time = t + 100;
-    store.insert(std::move(job));
+    jobs.push_back(std::move(job));
     ++id;
   }
+  JobStore store;
+  store.insert_all(std::move(jobs));
   const Characterizer ch(fugaku_node_spec());
   const FeatureEncoder encoder;
   const OnlineEvaluator evaluator(store, ch, encoder);
@@ -393,16 +400,18 @@ TEST(OnlineEvaluator, SkipsWindowsWithoutData) {
 }
 
 TEST(OnlineEvaluator, GrowingWindowUsesAllHistory) {
-  JobStore store;
   const TimePoint start = timepoint_from_ymd(2023, 12, 1);
+  std::vector<JobRecord> jobs;
   std::uint64_t id = 0;
   for (TimePoint t = start; t < start + 20 * kSecondsPerDay; t += 7200) {
     JobRecord job = executed(id, "stream_app", false, t + 2000);
     job.submit_time = t;
     job.start_time = t + 100;
-    store.insert(std::move(job));
+    jobs.push_back(std::move(job));
     ++id;
   }
+  JobStore store;
+  store.insert_all(std::move(jobs));
   const Characterizer ch(fugaku_node_spec());
   const FeatureEncoder encoder;
   const OnlineEvaluator evaluator(store, ch, encoder);
@@ -616,15 +625,17 @@ TEST(Framework, TrainPredictAndRegistryLifecycle) {
       (fs::temp_directory_path() / "mcb_framework_test").string();
   fs::remove_all(registry_dir);
 
-  JobStore store;
   const TimePoint base = timepoint_from_ymd(2024, 1, 10);
+  std::vector<JobRecord> jobs;
   for (std::uint64_t i = 0; i < 60; ++i) {
     const bool compute = i % 2 == 1;
     JobRecord job = executed(i, compute ? "dgemm_app" : "stream_app", compute,
                              base + static_cast<TimePoint>(i) * 3600);
     job.user_name = compute ? "u2" : "u1";
-    store.insert(std::move(job));
+    jobs.push_back(std::move(job));
   }
+  JobStore store;
+  store.insert_all(std::move(jobs));
 
   FrameworkConfig config;
   config.registry_dir = registry_dir;
@@ -676,15 +687,17 @@ TEST(Framework, WarmRestartLoadsNewestVersionWithConfiguredModel) {
 
   // 700 jobs: enough rows that the default KNN config would build the
   // spatial index, which this deployment switches off.
-  JobStore store;
   const TimePoint base = timepoint_from_ymd(2024, 1, 10);
+  std::vector<JobRecord> jobs;
   for (std::uint64_t i = 0; i < 700; ++i) {
     const bool compute = i % 7 < 3;
     JobRecord job =
         executed(i, numbered("app_", i % 7), compute, base + static_cast<TimePoint>(i) * 3000);
     job.user_name = numbered("u", i % 5);
-    store.insert(std::move(job));
+    jobs.push_back(std::move(job));
   }
+  JobStore store;
+  store.insert_all(std::move(jobs));
   FrameworkConfig config;
   config.registry_dir = registry_dir;
   config.model = ModelKind::kKnn;
@@ -721,11 +734,13 @@ TEST(Framework, FailedSaveKeepsThePreviousModelServing) {
   const std::string registry_dir =
       (fs::temp_directory_path() / "mcb_framework_save_fail").string();
   fs::remove_all(registry_dir);
-  JobStore store;
   const TimePoint base = timepoint_from_ymd(2024, 1, 10);
+  std::vector<JobRecord> jobs;
   for (std::uint64_t i = 0; i < 40; ++i) {
-    store.insert(executed(i, "stream_app", false, base + static_cast<TimePoint>(i) * 3600));
+    jobs.push_back(executed(i, "stream_app", false, base + static_cast<TimePoint>(i) * 3600));
   }
+  JobStore store;
+  store.insert_all(std::move(jobs));
   FrameworkConfig config;
   config.registry_dir = registry_dir;
   config.model = ModelKind::kKnn;
@@ -748,12 +763,13 @@ TEST(Framework, PredictRangeUsesSubmitTimes) {
       (fs::temp_directory_path() / "mcb_framework_range").string();
   fs::remove_all(registry_dir);
 
-  JobStore store;
   const TimePoint base = timepoint_from_ymd(2024, 1, 10);
+  std::vector<JobRecord> jobs;
   for (std::uint64_t i = 0; i < 40; ++i) {
-    JobRecord job = executed(i, "stream_app", false, base + static_cast<TimePoint>(i) * 3600);
-    store.insert(std::move(job));
+    jobs.push_back(executed(i, "stream_app", false, base + static_cast<TimePoint>(i) * 3600));
   }
+  JobStore store;
+  store.insert_all(std::move(jobs));
   FrameworkConfig config;
   config.registry_dir = registry_dir;
   config.model = ModelKind::kKnn;
@@ -761,6 +777,60 @@ TEST(Framework, PredictRangeUsesSubmitTimes) {
   framework.train_now(base + 40 * 3600);
   const auto report = framework.predict_range(base - 2000, base + 40 * 3600);
   EXPECT_EQ(report.size(), 40U);
+  fs::remove_all(registry_dir);
+}
+
+TEST(Framework, TrainingCountsOnlyItsOwnCacheLookups) {
+  const std::string registry_dir =
+      (fs::temp_directory_path() / "mcb_framework_shared_cache").string();
+  fs::remove_all(registry_dir);
+  const WorkloadConfig workload = scaled_workload_config(40, 3);
+  JobStore store;
+  store.insert_all(WorkloadGenerator(workload).generate());
+  FrameworkConfig config;
+  config.registry_dir = registry_dir;
+  config.model = ModelKind::kKnn;
+  Framework framework(config, store);
+  const TimePoint t0 = workload.start_time + 45 * kSecondsPerDay;
+  const TimePoint t1 = t0 + 5 * kSecondsPerDay;
+  ASSERT_TRUE(framework.train_now(t0).version.has_value());
+
+  // Held out: submitted after the second training window closes.
+  JobQuery q;
+  q.field = JobQuery::TimeField::kSubmitTime;
+  q.start_time = t1;
+  q.end_time = t1 + 2 * kSecondsPerDay;
+  std::vector<JobRecord> held_out;
+  for (const JobRecord* job : store.query(q)) held_out.push_back(*job);
+  ASSERT_FALSE(held_out.empty());
+
+  // Two serving threads use the framework's cache throughout the retrain.
+  std::atomic<bool> stop{false};
+  std::atomic<int> started{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 2; ++r) {
+    readers.emplace_back([&] {
+      do {
+        EXPECT_EQ(framework.predict_batch(held_out).size(), held_out.size());
+        if (started.load() < 2) started.fetch_add(1);
+      } while (!stop.load());
+    });
+  }
+  while (started.load() < 2) std::this_thread::yield();
+  const TrainingReport report = framework.train_now(t1);
+  stop.store(true);
+  for (auto& t : readers) t.join();
+  ASSERT_TRUE(report.version.has_value());
+  EXPECT_EQ(report.cache_hits + report.cache_misses, report.jobs_used);
+
+  // The published model labels like one fitted on uncached rows of the window.
+  const StoreDataFetcher fetcher(store);
+  const TrainingWorkflow uncached(fetcher, framework.characterizer(), framework.encoder());
+  ClassificationModel reference(config.model, config.knn, config.forest);
+  const TimePoint window_start = t1 - static_cast<TimePoint>(config.alpha_days) * kSecondsPerDay;
+  EXPECT_EQ(uncached.run(reference, window_start, t1, config.theta).jobs_used, report.jobs_used);
+  const FeatureMatrix x = framework.encoder().encode_batch(held_out);
+  EXPECT_EQ(framework.predict_batch(held_out), reference.inference(x.view()));
   fs::remove_all(registry_dir);
 }
 

@@ -2,7 +2,6 @@
 // indexing/queries and the Data Fetcher.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -89,8 +88,7 @@ TEST(JobRecord, CsvRejectsNonNumeric) {
 
 TEST(JobStore, InsertAndFind) {
   JobStore store;
-  EXPECT_TRUE(store.insert(make_job(1, 100)));
-  EXPECT_TRUE(store.insert(make_job(2, 200)));
+  EXPECT_EQ(store.insert_all({make_job(1, 100), make_job(2, 200)}), 2U);
   EXPECT_EQ(store.size(), 2U);
   const JobRecord* found = store.find(2);
   ASSERT_NE(found, nullptr);
@@ -100,16 +98,19 @@ TEST(JobStore, InsertAndFind) {
 
 TEST(JobStore, RejectsDuplicateIds) {
   JobStore store;
-  EXPECT_TRUE(store.insert(make_job(1, 100)));
-  EXPECT_FALSE(store.insert(make_job(1, 999)));
+  EXPECT_EQ(store.insert_all({make_job(1, 100)}), 1U);
+  EXPECT_EQ(store.insert_all({make_job(1, 999)}), 0U);
   EXPECT_EQ(store.size(), 1U);
+  EXPECT_EQ(store.find(1)->submit_time, 100);
 }
 
 TEST(JobStore, QueryByEndTimeRange) {
-  JobStore store;
+  std::vector<JobRecord> jobs;
   for (std::uint64_t i = 0; i < 10; ++i) {
-    store.insert(make_job(i, static_cast<TimePoint>(i * 1000)));
+    jobs.push_back(make_job(i, static_cast<TimePoint>(i * 1000)));
   }
+  JobStore store;
+  store.insert_all(std::move(jobs));
   // Jobs end at submit + 180 + 600.
   JobQuery q;
   q.field = JobQuery::TimeField::kEndTime;
@@ -122,10 +123,12 @@ TEST(JobStore, QueryByEndTimeRange) {
 }
 
 TEST(JobStore, QueryBySubmitTime) {
-  JobStore store;
+  std::vector<JobRecord> jobs;
   for (std::uint64_t i = 0; i < 5; ++i) {
-    store.insert(make_job(i, static_cast<TimePoint>(100 - i * 10)));  // reverse order
+    jobs.push_back(make_job(i, static_cast<TimePoint>(100 - i * 10)));  // reverse order
   }
+  JobStore store;
+  store.insert_all(std::move(jobs));
   JobQuery q;
   q.field = JobQuery::TimeField::kSubmitTime;
   q.start_time = 70;
@@ -138,8 +141,10 @@ TEST(JobStore, QueryBySubmitTime) {
 }
 
 TEST(JobStore, QueryWithFilters) {
+  std::vector<JobRecord> jobs;
+  for (std::uint64_t i = 0; i < 8; ++i) jobs.push_back(make_job(i, 100));
   JobStore store;
-  for (std::uint64_t i = 0; i < 8; ++i) store.insert(make_job(i, 100));
+  store.insert_all(std::move(jobs));
   JobQuery q;
   q.start_time = 0;
   q.end_time = 1'000'000;
@@ -154,7 +159,7 @@ TEST(JobStore, QueryWithFilters) {
 
 TEST(JobStore, EmptyRangeQuery) {
   JobStore store;
-  store.insert(make_job(1, 100));
+  store.insert_all({make_job(1, 100)});
   JobQuery q;
   q.start_time = 1'000'000;
   q.end_time = 2'000'000;
@@ -162,14 +167,13 @@ TEST(JobStore, EmptyRangeQuery) {
 }
 
 TEST(JobStore, OutOfOrderInsertsAreSorted) {
-  JobStore store;
   Rng rng(3);
-  std::vector<TimePoint> submits;
+  std::vector<JobRecord> jobs;
   for (std::uint64_t i = 0; i < 100; ++i) {
-    const auto t = static_cast<TimePoint>(rng.bounded(1'000'000));
-    submits.push_back(t);
-    store.insert(make_job(i, t));
+    jobs.push_back(make_job(i, static_cast<TimePoint>(rng.bounded(1'000'000))));
   }
+  JobStore store;
+  store.insert_all(std::move(jobs));
   const auto all = store.all();
   for (std::size_t i = 1; i < all.size(); ++i) {
     EXPECT_LE(all[i - 1].end_time, all[i].end_time);
@@ -180,8 +184,8 @@ TEST(JobStore, OutOfOrderInsertsAreSorted) {
 
 TEST(JobStore, FindSurvivesResorting) {
   JobStore store;
-  store.insert(make_job(10, 5000));
-  store.insert(make_job(20, 1000));  // out of order -> triggers lazy sort
+  store.insert_all({make_job(10, 5000)});
+  store.insert_all({make_job(20, 1000)});  // ends first: the second build re-sorts
   const JobRecord* a = store.find(10);
   const JobRecord* b = store.find(20);
   ASSERT_NE(a, nullptr);
@@ -198,10 +202,12 @@ TEST(JobStore, InsertAllCountsInsertions) {
 
 TEST(JobStore, CsvSaveLoadRoundTrip) {
   const std::string path = std::filesystem::temp_directory_path() / "mcb_store_test.csv";
-  JobStore store;
+  std::vector<JobRecord> jobs;
   for (std::uint64_t i = 0; i < 50; ++i) {
-    store.insert(make_job(i, static_cast<TimePoint>(i * 777)));
+    jobs.push_back(make_job(i, static_cast<TimePoint>(i * 777)));
   }
+  JobStore store;
+  store.insert_all(std::move(jobs));
   ASSERT_TRUE(store.save_csv(path));
 
   JobStore loaded;
@@ -233,6 +239,25 @@ TEST(JobStore, LoadRejectsBadHeader) {
   EXPECT_FALSE(store.load_csv(path, &error));
   EXPECT_NE(error.find("header"), std::string::npos);
   std::remove(path.c_str());
+}
+
+TEST(JobStore, FailedLoadLeavesStoreUnchanged) {
+  const auto row = [](std::uint64_t id, TimePoint submit) {
+    return join(job_to_csv(make_job(id, submit)), ",") + "\n";
+  };
+  const std::string header = join(job_csv_header(), ",") + "\n";
+  JobStore store;
+  std::istringstream good(header + row(1, 100) + row(2, 200));
+  ASSERT_TRUE(store.load_csv(good));
+  // Data row 2 is valid and new; data row 3 is malformed, so nothing may commit.
+  std::istringstream bad(header + row(3, 300) + "broken\n");
+  std::string error;
+  EXPECT_FALSE(store.load_csv(bad, &error));
+  EXPECT_NE(error.find("data row 3"), std::string::npos) << error;
+  EXPECT_EQ(store.size(), 2U);
+  ASSERT_NE(store.find(1), nullptr);
+  EXPECT_EQ(store.find(2)->submit_time, 200);
+  EXPECT_EQ(store.find(3), nullptr);
 }
 
 // Malformed rows must produce a diagnostic naming the offending data row
@@ -303,14 +328,13 @@ class StoreQueryProperty : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(StoreQueryProperty, RangeQueryMatchesLinearScan) {
   Rng rng(GetParam());
-  JobStore store;
   std::vector<JobRecord> reference;
   for (std::uint64_t i = 1; i <= 300; ++i) {
-    JobRecord job = make_job(i, static_cast<TimePoint>(rng.bounded(100'000)),
-                             static_cast<std::int64_t>(1 + rng.bounded(5'000)));
-    reference.push_back(job);
-    store.insert(std::move(job));
+    reference.push_back(make_job(i, static_cast<TimePoint>(rng.bounded(100'000)),
+                                 static_cast<std::int64_t>(1 + rng.bounded(5'000))));
   }
+  JobStore store;
+  store.insert_all(reference);
   for (int round = 0; round < 50; ++round) {
     JobQuery q;
     q.field = rng.bernoulli(0.5) ? JobQuery::TimeField::kEndTime
@@ -368,7 +392,7 @@ TEST(JobQuery, RendersSqlWithFilters) {
 
 TEST(StoreDataFetcher, FetchById) {
   JobStore store;
-  store.insert(make_job(7, 700));
+  store.insert_all({make_job(7, 700)});
   StoreDataFetcher fetcher(store);
   const auto job = fetcher.fetch(7);
   ASSERT_TRUE(job.has_value());
@@ -377,10 +401,12 @@ TEST(StoreDataFetcher, FetchById) {
 }
 
 TEST(StoreDataFetcher, FetchRangeCopiesRecords) {
-  JobStore store;
+  std::vector<JobRecord> records;
   for (std::uint64_t i = 0; i < 10; ++i) {
-    store.insert(make_job(i, static_cast<TimePoint>(i * 100)));
+    records.push_back(make_job(i, static_cast<TimePoint>(i * 100)));
   }
+  JobStore store;
+  store.insert_all(std::move(records));
   StoreDataFetcher fetcher(store);
   const auto jobs = fetcher.fetch(0, 10'000, JobQuery::TimeField::kSubmitTime);
   EXPECT_EQ(jobs.size(), 10U);
@@ -396,78 +422,52 @@ TEST(StoreDataFetcher, RenderSqlMatchesQuery) {
   EXPECT_NE(sql.find("end_time >= 5"), std::string::npos);
 }
 
-// Regression for the latent unguarded-concurrent-access gap closed by
-// the store's SharedMutex: HTTP handlers read the store while ingest
-// appends. Under TSan (CI's MCB_SANITIZE=thread leg) the pre-lock store
-// raced here; the test also pins down result sanity either way. Some
-// inserts land out of end_time order on purpose, forcing lazy re-sorts
-// to happen *while* readers are mid-query.
-TEST(JobStore, ConcurrentReadersDuringInserts) {
+// The store is immutable once built, so concurrent readers need no lock.
+// Built from out-of-order input (every 5th job ends late) so the reads
+// below go through a re-sorted table and both indexes; TSan (CI's
+// MCB_SANITIZE=thread leg) checks that they really share nothing mutable.
+TEST(JobStore, ConcurrentReadersOfABuiltStore) {
   constexpr std::uint64_t kJobs = 2000;
   constexpr int kReaders = 4;
+  std::vector<JobRecord> jobs;
+  for (std::uint64_t i = 0; i < kJobs; ++i) {
+    jobs.push_back(make_job(i, static_cast<TimePoint>(i * 100 + (i % 5 == 0 ? 7000 : 0))));
+  }
   JobStore store;
-  std::atomic<bool> done{false};
-
-  std::thread writer([&] {
-    for (std::uint64_t i = 0; i < kJobs; ++i) {
-      // Every 5th job completes "late" (out of order) to invalidate the
-      // sorted index under the readers' feet.
-      const auto submit = static_cast<TimePoint>(i * 100 + (i % 5 == 0 ? 7000 : 0));
-      store.insert(make_job(i, submit));
-    }
-    done.store(true, std::memory_order_release);
-  });
+  ASSERT_EQ(store.insert_all(std::move(jobs)), kJobs);
 
   std::vector<std::thread> readers;
   readers.reserve(kReaders);
   for (int r = 0; r < kReaders; ++r) {
     readers.emplace_back([&, r] {
-      std::uint64_t probe = static_cast<std::uint64_t>(r);
-      while (!done.load(std::memory_order_acquire)) {
-        JobQuery q;
-        q.field = r % 2 == 0 ? JobQuery::TimeField::kEndTime
-                             : JobQuery::TimeField::kSubmitTime;
-        q.start_time = 0;
-        q.end_time = static_cast<TimePoint>(kJobs * 200);
-        const auto jobs = store.query_records(q);
-        for (std::size_t i = 1; i < jobs.size(); ++i) {
-          const TimePoint prev = q.field == JobQuery::TimeField::kEndTime
-                                     ? jobs[i - 1].end_time
-                                     : jobs[i - 1].submit_time;
-          const TimePoint cur = q.field == JobQuery::TimeField::kEndTime
-                                    ? jobs[i].end_time
-                                    : jobs[i].submit_time;
-          ASSERT_LE(prev, cur);
+      for (int round = 0; round < 20; ++round) {
+        for (const auto field : {JobQuery::TimeField::kEndTime, JobQuery::TimeField::kSubmitTime}) {
+          JobQuery q;
+          q.field = field;
+          q.start_time = 0;
+          q.end_time = static_cast<TimePoint>(kJobs * 200);
+          const auto hits = store.query(q);
+          ASSERT_EQ(hits.size(), kJobs);
+          for (std::size_t i = 1; i < hits.size(); ++i) {
+            ASSERT_LE(field == JobQuery::TimeField::kEndTime ? hits[i - 1]->end_time
+                                                             : hits[i - 1]->submit_time,
+                      field == JobQuery::TimeField::kEndTime ? hits[i]->end_time
+                                                             : hits[i]->submit_time);
+          }
         }
-        const auto record = store.find_record(probe % kJobs);
-        if (record.has_value()) {
-          ASSERT_EQ(record->job_id, probe % kJobs);
+        for (std::uint64_t id = static_cast<std::uint64_t>(r); id < kJobs; id += 7) {
+          const JobRecord* job = store.find(id);
+          ASSERT_NE(job, nullptr);
+          ASSERT_EQ(job->job_id, id);
         }
-        probe += 13;
-        // Read min before max: the store only grows, so a later max can
-        // never fall below an earlier min. Two reads inside one ASSERT
-        // are unsequenced, and a max taken first from the still-empty
-        // store (0) fails against any later min.
-        const TimePoint min_end = store.min_end_time();
-        const TimePoint max_end = store.max_end_time();
-        ASSERT_LE(min_end, max_end);
-        ASSERT_LE(store.size(), kJobs);
+        const auto all = store.all();
+        ASSERT_EQ(all.size(), kJobs);
+        ASSERT_EQ(store.min_end_time(), all.front().end_time);
+        ASSERT_EQ(store.max_end_time(), all.back().end_time);
       }
     });
   }
-
-  writer.join();
   for (auto& t : readers) t.join();
-  EXPECT_EQ(store.size(), kJobs);
-  // Post-hoc integrity: every job is findable and the full range scan
-  // sees all of them in order.
-  JobQuery q;
-  q.start_time = 0;
-  q.end_time = static_cast<TimePoint>(kJobs * 200);
-  EXPECT_EQ(store.query_records(q).size(), kJobs);
-  for (std::uint64_t i = 0; i < kJobs; ++i) {
-    ASSERT_TRUE(store.find_record(i).has_value());
-  }
 }
 
 }  // namespace

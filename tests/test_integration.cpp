@@ -143,24 +143,35 @@ TEST_F(IntegrationTest, TrainingTimeScalesWithAlphaForRf) {
   EXPECT_GT(large_result.train_seconds.mean(), small_result.train_seconds.mean());
 }
 
-TEST_F(IntegrationTest, EncodingCacheEliminatesRecomputation) {
+TEST_F(IntegrationTest, EmbeddingCacheEliminatesRecomputation) {
   const Characterizer ch(config_->machine);
   const FeatureEncoder encoder;
   StoreDataFetcher fetcher(*store_);
-  EncodingCache cache(encoder.dim());
+  ShardedEmbeddingCache cache(encoder.dim());
   const TrainingWorkflow training(fetcher, ch, encoder, &cache);
 
   const TimePoint t = timepoint_from_ymd(2024, 2, 1);
   ClassificationModel first(ModelKind::kKnn);
   const auto report1 = training.run(first, t - 15 * kSecondsPerDay, t);
   EXPECT_EQ(report1.cache_hits, 0U);
-  EXPECT_GT(report1.cache_misses, 0U);
+  EXPECT_EQ(report1.cache_misses, report1.jobs_used);
 
-  // Retraining a day later re-uses all overlapping encodings (§V-A).
+  // Retraining a day later re-uses the overlapping encodings (§V-A), and
+  // recurring jobs share one entry, so the cache holds far fewer rows
+  // than the window has jobs and never more than its capacity.
   ClassificationModel second(ModelKind::kKnn);
   const auto report2 =
       training.run(second, t - 14 * kSecondsPerDay, t + kSecondsPerDay);
   EXPECT_GT(report2.cache_hits, report2.cache_misses * 5);
+  EXPECT_EQ(report2.cache_hits + report2.cache_misses, report2.jobs_used);
+  EXPECT_LT(cache.size(), report2.jobs_used);
+  EXPECT_LE(cache.size(), cache.capacity());
+
+  // Cached rows are the rows a fresh encoding gives.
+  const auto window = fetcher.fetch(t - 14 * kSecondsPerDay, t + kSecondsPerDay,
+                                    JobQuery::TimeField::kEndTime);
+  EXPECT_EQ(encoder.encode_batch_cached(window, cache).storage(),
+            encoder.encode_batch(window).storage());
 }
 
 TEST_F(IntegrationTest, ThetaRandomBeatsLatestAtSmallBudgets) {

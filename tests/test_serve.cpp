@@ -767,6 +767,7 @@ class ApiTest : public ::testing::Test {
 
     const TimePoint base = timepoint_from_ymd(2024, 1, 10);
     last_end_ = base;
+    std::vector<JobRecord> jobs;
     for (std::uint64_t i = 0; i < 60; ++i) {
       const bool compute = i % 2 == 1;
       JobRecord job;
@@ -787,8 +788,9 @@ class ApiTest : public ::testing::Test {
         job.perf4 = job.perf5 = 1e12;
       }
       last_end_ = std::max(last_end_, job.end_time);
-      store_.insert(std::move(job));
+      jobs.push_back(std::move(job));
     }
+    store_.insert_all(std::move(jobs));
 
     config_.registry_dir = registry_dir_;
     config_.model = ModelKind::kKnn;
@@ -896,16 +898,15 @@ TEST_F(ApiTest, ClassifyBatchFlow) {
   EXPECT_EQ(labels[1].as_string(), "compute-bound");
   EXPECT_EQ(labels[2].as_string(), "memory-bound");
 
-  // A repeat of the whole batch is pure embedding-cache hits (lookups
-  // run before the miss-encoding pass, so intra-batch duplicates miss
-  // on the first round); the app metrics section must reflect that.
+  // /train encodes through the same cache: its 60 lookups all missed
+  // (they run before the miss-encoding pass, on an empty cache) and left
+  // the two distinct canonical strings cached, so both batches are pure
+  // embedding-cache hits; the app metrics section must reflect that.
   EXPECT_EQ(call("POST", "/classify_batch", batch).status, 200);
   const auto metrics = Json::parse(call("GET", "/metrics").body);
   ASSERT_TRUE(metrics.has_value());
-  // The repeated batch hits; the first batch missed, duplicate included;
-  // two distinct canonical strings remain cached.
-  EXPECT_EQ(metric_value(*metrics, "mcb_embedding_cache_ops_total", {{"op", "hit"}}), 3.0);
-  EXPECT_EQ(metric_value(*metrics, "mcb_embedding_cache_ops_total", {{"op", "miss"}}), 3.0);
+  EXPECT_EQ(metric_value(*metrics, "mcb_embedding_cache_ops_total", {{"op", "hit"}}), 6.0);
+  EXPECT_EQ(metric_value(*metrics, "mcb_embedding_cache_ops_total", {{"op", "miss"}}), 60.0);
   EXPECT_EQ(metric_value(*metrics, "mcb_embedding_cache_entries", {{"kind", "current"}}), 2.0);
   EXPECT_EQ(metric_value(*metrics, "mcb_classify_batch_requests_total"), 2.0);
   EXPECT_EQ(metric_value(*metrics, "mcb_classify_batch_jobs_total"), 6.0);
@@ -914,14 +915,22 @@ TEST_F(ApiTest, ClassifyBatchFlow) {
 TEST_F(ApiTest, PredictSharesEmbeddingCacheWithBatch) {
   ASSERT_EQ(call("POST", "/train", "{\"now\": " + std::to_string(last_end_ + 10) + "}").status,
             201);
-  const std::string job =
+  const auto cache_ops = [this](const char* op) {
+    const auto metrics = Json::parse(call("GET", "/metrics").body);
+    return metric_value(*metrics, "mcb_embedding_cache_ops_total", {{"op", op}});
+  };
+  const double hits = cache_ops("hit");
+  const double misses = cache_ops("miss");
+  // A job whose string /train cached hits; a new one misses once, then hits.
+  const std::string known =
       R"({"job_name":"stream_app","user_name":"u1","nodes_requested":2,"cores_requested":96,"environment":"env"})";
-  EXPECT_EQ(call("POST", "/predict", job).status, 200);
-  EXPECT_EQ(call("POST", "/predict", job).status, 200);
-  const auto metrics = Json::parse(call("GET", "/metrics").body);
-  ASSERT_TRUE(metrics.has_value());
-  EXPECT_GE(metric_value(*metrics, "mcb_embedding_cache_ops_total", {{"op", "hit"}}), 1.0);
-  EXPECT_EQ(metric_value(*metrics, "mcb_embedding_cache_ops_total", {{"op", "miss"}}), 1.0);
+  const std::string unseen =
+      R"({"job_name":"stream_app","user_name":"u1","nodes_requested":4,"cores_requested":192,"environment":"env"})";
+  EXPECT_EQ(call("POST", "/predict", known).status, 200);
+  EXPECT_EQ(call("POST", "/predict", unseen).status, 200);
+  EXPECT_EQ(call("POST", "/predict", unseen).status, 200);
+  EXPECT_EQ(cache_ops("hit"), hits + 2.0);
+  EXPECT_EQ(cache_ops("miss"), misses + 1.0);
 }
 
 TEST_F(ApiTest, TrainEmptyWindowIs409) {
@@ -1452,10 +1461,12 @@ TEST(ApiSnapshots, ServedLabelsMatchTheVersionTheyName) {
   const std::string dir = (fs::temp_directory_path() / "mcb_api_snapshots").string();
   fs::remove_all(dir);
   const TimePoint base = timepoint_from_ymd(2024, 1, 10);
-  JobStore store;
+  std::vector<JobRecord> jobs;
   for (std::uint64_t id = 0; id < 60; ++id) {
-    store.insert(flip_job(id, base, static_cast<int>(id / 3)));
+    jobs.push_back(flip_job(id, base, static_cast<int>(id / 3)));
   }
+  JobStore store;
+  store.insert_all(std::move(jobs));
   FrameworkConfig config;
   config.registry_dir = dir;
   config.model = ModelKind::kKnn;

@@ -2,9 +2,8 @@
 //
 // The wrappers exist so Clang's thread-safety analysis can see every
 // lock acquisition at compile time; these tests pin down the *runtime*
-// semantics the annotations promise: mutual exclusion, shared/exclusive
-// compatibility, scoped release (including early unlock/relock), and
-// the CondVar timeout contract.
+// semantics the annotations promise: mutual exclusion, scoped release
+// (including early unlock/relock), and the CondVar timeout contract.
 //
 // Try-lock results are always branched on through a named local (never
 // fed straight into EXPECT_*): the thread-safety analysis tracks the
@@ -26,22 +25,6 @@ namespace {
 bool probe_exclusive(Mutex& mu) {
   if (mu.try_lock()) {
     mu.unlock();
-    return true;
-  }
-  return false;
-}
-
-bool probe_exclusive(SharedMutex& mu) {
-  if (mu.try_lock()) {
-    mu.unlock();
-    return true;
-  }
-  return false;
-}
-
-bool probe_shared(SharedMutex& mu) {
-  if (mu.try_lock_shared()) {
-    mu.unlock_shared();
     return true;
   }
   return false;
@@ -90,45 +73,6 @@ TEST(MutexLock, EarlyUnlockAndRelock) {
   other.join();
   EXPECT_TRUE(acquired.load());
   lock.lock();  // reacquire; destructor releases
-}
-
-TEST(SharedMutex, ManyReadersOneWriter) {
-  SharedMutex mu;
-  mu.lock_shared();
-  // A second shared holder coexists with the first...
-  EXPECT_TRUE(probe_shared(mu));
-  // ...and a writer is excluded until the share is released.
-  EXPECT_FALSE(probe_exclusive(mu));
-  mu.unlock_shared();
-  EXPECT_TRUE(probe_exclusive(mu));
-  // A held writer excludes readers.
-  mu.lock();
-  EXPECT_FALSE(probe_shared(mu));
-  mu.unlock();
-}
-
-TEST(SharedMutex, ScopedGuardsCompose) {
-  SharedMutex mu;
-  int value = 0;
-  {
-    ExclusiveLock writer(mu);
-    value = 42;
-  }
-  {
-    SharedLock r1(mu);
-    SharedLock r2(mu);  // second shared holder is fine
-    EXPECT_EQ(value, 42);
-    EXPECT_FALSE(probe_exclusive(mu));  // writer excluded while readers hold
-  }
-  EXPECT_TRUE(probe_exclusive(mu));
-}
-
-TEST(SharedLock, EarlyUnlockReleasesShare) {
-  SharedMutex mu;
-  SharedLock lock(mu);
-  EXPECT_FALSE(probe_exclusive(mu));
-  lock.unlock();
-  EXPECT_TRUE(probe_exclusive(mu));
 }
 
 TEST(CondVar, NotifyWakesWaiter) {

@@ -179,8 +179,7 @@ std::string qualify(const std::vector<ScopeRegion>& scopes, std::size_t pos,
 // lock-order graph (both the annotated wrappers and the std guards, so
 // fixtures and pre-migration code index the same way).
 constexpr std::string_view kScopedLocks[] = {
-    "MutexLock", "ExclusiveLock", "SharedLock",  "lock_guard",
-    "unique_lock", "scoped_lock", "shared_lock"};
+    "MutexLock", "lock_guard", "unique_lock", "scoped_lock", "shared_lock"};
 
 std::string normalize_capability(std::string_view arg) {
   std::string out;
@@ -261,10 +260,7 @@ void scan_signature_caps(std::string_view code, std::size_t params_close,
     std::string_view word;
     bool entry;  ///< true: held on entry (REQUIRES); false: acquired
   };
-  static constexpr CapMacro kMacros[] = {{"MCB_REQUIRES", true},
-                                         {"MCB_REQUIRES_SHARED", true},
-                                         {"MCB_ACQUIRE", false},
-                                         {"MCB_ACQUIRE_SHARED", false}};
+  static constexpr CapMacro kMacros[] = {{"MCB_REQUIRES", true}, {"MCB_ACQUIRE", false}};
   for (const CapMacro& macro : kMacros) {
     for (std::size_t pos = find_word(sig, macro.word, 0);
          pos != std::string_view::npos; pos = find_word(sig, macro.word, pos + 1)) {

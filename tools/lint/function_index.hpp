@@ -66,8 +66,8 @@ struct FunctionDef {
   bool hot_boundary = false;      ///< MCB_HOT_PATH_BOUNDARY
   bool reactor_boundary = false;  ///< MCB_REACTOR_BOUNDARY
   bool returns_bool = false;
-  std::vector<std::string> entry_caps;  ///< MCB_REQUIRES[_SHARED] args
-  std::vector<std::string> acquire_caps;  ///< MCB_ACQUIRE[_SHARED] args
+  std::vector<std::string> entry_caps;    ///< MCB_REQUIRES args
+  std::vector<std::string> acquire_caps;  ///< MCB_ACQUIRE args
   std::vector<CallSite> calls;  ///< in body order, nested defs excluded
   std::vector<LockSite> locks;  ///< scoped-lock constructions, in order
 

@@ -126,8 +126,6 @@ struct BlockRule {
 
 constexpr BlockRule kBlockingRules[] = {
     {"MutexLock", "scoped mutex acquisition may wait", false, false},
-    {"ExclusiveLock", "scoped writer-lock acquisition may wait", false, false},
-    {"SharedLock", "scoped reader-lock acquisition may wait", false, false},
     {"lock_guard", "scoped mutex acquisition may wait", false, false},
     {"unique_lock", "scoped mutex acquisition may wait", false, false},
     {"scoped_lock", "scoped mutex acquisition may wait", false, false},

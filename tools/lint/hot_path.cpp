@@ -57,8 +57,6 @@ constexpr TokenRule kHotTokenRules[] = {
     {"getline", "R11", "blocking stream read", false, true},
     // R12 — lock acquisition.
     {"MutexLock", "R12", "acquires a mutex", false, false},
-    {"ExclusiveLock", "R12", "acquires a writer lock", false, false},
-    {"SharedLock", "R12", "acquires a reader lock", false, false},
     {"lock_guard", "R12", "acquires a mutex", false, false},
     {"unique_lock", "R12", "acquires a mutex", false, false},
     {"scoped_lock", "R12", "acquires a mutex", false, false},

@@ -63,8 +63,6 @@ constexpr HandlerRule kHandlerRules[] = {
     {"perror", "stdio takes libc-internal locks", false, true},
     // Locks: the interrupted thread may already hold them.
     {"MutexLock", "acquiring a mutex can self-deadlock", false, false},
-    {"ExclusiveLock", "acquiring a lock can self-deadlock", false, false},
-    {"SharedLock", "acquiring a lock can self-deadlock", false, false},
     {"lock_guard", "acquiring a mutex can self-deadlock", false, false},
     {"unique_lock", "acquiring a mutex can self-deadlock", false, false},
     {"scoped_lock", "acquiring a mutex can self-deadlock", false, false},
