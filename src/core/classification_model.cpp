@@ -42,10 +42,9 @@ std::vector<Label> ClassificationModel::inference(FeatureView x, ThreadPool* poo
 }
 
 const KnnIndexStats* ClassificationModel::knn_index_stats() const noexcept {
-  if (kind_ != ModelKind::kKnn) return nullptr;
+  if (kind_ != ModelKind::kKnn || !is_trained()) return nullptr;
   // kind_ == kKnn pins the concrete type (see the constructor).
-  const auto& knn = *static_cast<const KnnClassifier*>(classifier_.get());
-  return knn.index().ready() ? &knn.index().stats() : nullptr;
+  return &static_cast<const KnnClassifier*>(classifier_.get())->index().stats();
 }
 
 }  // namespace mcb

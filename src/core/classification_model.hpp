@@ -57,9 +57,9 @@ class ClassificationModel {
   Classifier& classifier() noexcept { return *classifier_; }
   const Classifier& classifier() const noexcept { return *classifier_; }
 
-  /// Stats of the KNN spatial index (DESIGN.md §11) serving this model's
-  /// queries, or nullptr when the model is not KNN or answers through
-  /// the brute-force scan (index disabled, p != 2, or below min_rows).
+  /// Stats of a fitted KNN model's neighbor store (DESIGN.md §11): its
+  /// rows, its distinct rows and its tree (mode kNone when queries
+  /// scan). nullptr when the model is not KNN or not fitted.
   const KnnIndexStats* knn_index_stats() const noexcept;
 
   bool save(std::ostream& out) const { return classifier_->save(out); }

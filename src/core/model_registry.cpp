@@ -46,7 +46,11 @@ std::optional<std::uint32_t> ModelRegistry::save(const ClassificationModel& mode
   const std::uint32_t version = latest_version(tag).value_or(0) + 1;
   const std::string path = path_for(tag, version);
   std::ofstream out(path, std::ios::binary);
-  if (!out || !model.save(out)) {
+  // A model smaller than the stream buffer reaches the file only when
+  // the stream closes, so the close is part of the write to check.
+  const bool saved = out && model.save(out);
+  out.close();
+  if (!saved || !out) {
     std::error_code ec;
     fs::remove(path, ec);
     return std::nullopt;

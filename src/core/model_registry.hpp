@@ -23,7 +23,8 @@ class ModelRegistry {
   const std::string& root() const noexcept { return root_; }
 
   /// Persist the model under `tag`; returns the new version number, or
-  /// std::nullopt on I/O failure.
+  /// std::nullopt (and no file) when any write, the final flush
+  /// included, fails.
   std::optional<std::uint32_t> save(const ClassificationModel& model,
                                     const std::string& tag);
 

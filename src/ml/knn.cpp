@@ -18,7 +18,14 @@ namespace {
 /// allocates a counter per class, so the header field must be bounded
 /// before it is trusted.
 constexpr std::uint64_t kMaxClasses = 1ULL << 20;
-constexpr std::uint64_t kMaxDim = 1ULL << 24;
+
+/// The tree only accelerates the p = 2 dot-product algebra; any other p
+/// ranks by the Minkowski scan over the same store.
+KnnIndexConfig index_config(const KnnConfig& config) {
+  KnnIndexConfig index = config.index;
+  if (config.minkowski_p != 2.0) index.mode = KnnIndexMode::kNone;
+  return index;
+}
 
 }  // namespace
 
@@ -36,15 +43,7 @@ void KnnClassifier::fit(FeatureView x, std::span<const Label> y) {
   }
   n_classes_ = n_classes;
   labels_.assign(y.begin(), y.end());
-  build_index(x);
-}
-
-void KnnClassifier::build_index(FeatureView x) {
-  // The tree only accelerates the p = 2 dot-product algebra; any other
-  // p ranks by the Minkowski scan over the same stored rows.
-  KnnIndexConfig index = config_.index;
-  if (config_.minkowski_p != 2.0) index.mode = KnnIndexMode::kNone;
-  index_.build(x, index);
+  index_.build(x, index_config(config_));
 }
 
 MCB_HOT_PATH void KnnClassifier::top_k(std::span<const float> query, bool scalar,
@@ -126,9 +125,8 @@ bool KnnClassifier::save(std::ostream& out) const {
   io::write_header(out, io::kKindKnn);
   io::write_pod(out, static_cast<std::uint64_t>(config_.k));
   io::write_pod(out, config_.minkowski_p);
-  io::write_pod(out, static_cast<std::uint64_t>(dim()));
   io::write_pod(out, static_cast<std::uint64_t>(n_classes_));
-  io::write_vec(out, index_.data());
+  index_.save(out);
   io::write_vec(out, labels_);
   return static_cast<bool>(out);
 }
@@ -136,41 +134,40 @@ bool KnnClassifier::save(std::ostream& out) const {
 bool KnnClassifier::load(std::istream& in) {
   std::uint32_t kind = 0;
   if (!io::read_header(in, kind) || kind != io::kKindKnn) return false;
-  std::uint64_t k = 0, dim = 0, n_classes = 0;
+  std::uint64_t k = 0, n_classes = 0;
   double minkowski_p = 0.0;
-  if (!io::read_pod(in, k) || !io::read_pod(in, minkowski_p) || !io::read_pod(in, dim) ||
-      !io::read_pod(in, n_classes)) {
+  if (!io::read_pod(in, k) || !io::read_pod(in, minkowski_p) || !io::read_pod(in, n_classes)) {
     return false;
   }
   // Every header field is hostile until proven otherwise. The ctor
   // clamps k == 0 but a file bypasses the ctor: k == 0 would build an
   // empty TopK whose dist_.back() is UB. p outside [1, inf) breaks the
   // Minkowski metric axioms (and NaN poisons every comparison).
-  // dim/n_classes bound downstream allocations before they happen.
+  // n_classes bounds vote()'s allocation before it happens.
   if (k == 0) return false;
   if (!std::isfinite(minkowski_p) || minkowski_p < 1.0) return false;
-  if (dim == 0 || dim > kMaxDim) return false;
   if (n_classes == 0 || n_classes > kMaxClasses) return false;
   // Read into locals and commit only after every check passes, so a
   // rejected stream leaves the model unfitted instead of half-loaded.
-  std::vector<float> train_data;
+  KnnConfig config = config_;
+  config.k = static_cast<std::size_t>(k);
+  config.minkowski_p = minkowski_p;
+  KnnIndex index;
   std::vector<Label> labels;
-  if (!io::read_vec(in, train_data, io::kMaxVecElems) ||
+  if (!index.load(in, index_config(config)) ||
       !io::read_vec(in, labels, io::kMaxVecElems)) {
     return false;
   }
-  if (labels.empty() || labels.size() * static_cast<std::size_t>(dim) != train_data.size()) {
-    return false;
-  }
+  // One label per stored row.
+  if (labels.empty() || labels.size() != index.rows()) return false;
   for (const Label l : labels) {
     // Out-of-range labels would be an OOB write in vote().
     if (l < 0 || static_cast<std::uint64_t>(l) >= n_classes) return false;
   }
-  config_.k = static_cast<std::size_t>(k);
-  config_.minkowski_p = minkowski_p;
+  config_ = config;
   n_classes_ = static_cast<std::size_t>(n_classes);
   labels_ = std::move(labels);
-  build_index(FeatureView{train_data.data(), labels_.size(), static_cast<std::size_t>(dim)});
+  index_ = std::move(index);
   return true;
 }
 

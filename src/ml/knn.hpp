@@ -6,21 +6,22 @@
 // instance", §V-C); all the work happens at inference.
 //
 // The rows live in a KnnIndex (ml/knn_index.hpp), the one neighbor store
-// the classifier shares with the KNN regressor; the classifier adds only
-// the majority vote. The store's scan is blocked brute force: for p = 2
-// it expands ||q - x||^2 = ||q||^2 - 2 q.x + ||x||^2 over precomputed
-// row norms, turning the scan into a GEMV-shaped dot-product sweep. The
-// kernel (ml/knn_kernels.hpp) walks the rows in tiles and computes each
-// dot with four independent float accumulators: a naive serial
-// reduction is a single FP-add dependence chain the compiler may not
-// legally vectorize (float addition is not associative), so four chains
-// pipeline the add latency and unlock SLP vectorization. For general p
-// the direct Minkowski sum is used. Once the training set reaches
-// config.index.min_rows, p = 2 queries go through the store's pruned
-// spatial index instead; the shared TopK tie-break keeps both paths
-// bit-identical. Queries are embarrassingly parallel across the thread
-// pool. The scalar reference scan is kept (and exposed) so tests can
-// assert the fast paths return identical neighbor indices.
+// the classifier shares with the KNN regressor: each distinct row once,
+// plus one point id per training row. The classifier adds only the
+// labels and the majority vote. The store's scan is brute force: for
+// p = 2 it expands ||q - x||^2 = ||q||^2 - 2 q.x + ||x||^2 over
+// precomputed norms, turning the scan into a GEMV-shaped dot-product
+// sweep. The kernel (ml/knn_kernels.hpp) computes each dot with four
+// independent float accumulators: a naive serial reduction is a single
+// FP-add dependence chain the compiler may not legally vectorize (float
+// addition is not associative), so four chains pipeline the add latency
+// and unlock SLP vectorization. For general p the direct Minkowski sum
+// is used. With config.index.mode = kBoundTree (the default) and finite
+// data, p = 2 queries go through the store's pruned spatial index
+// instead; the shared TopK tie-break keeps both paths bit-identical.
+// Queries are embarrassingly parallel across the thread pool. The
+// scalar reference scan is kept (and exposed) so tests can assert the
+// fast paths return identical neighbor indices.
 #pragma once
 
 #include <cstdint>
@@ -35,7 +36,7 @@ namespace mcb {
 struct KnnConfig {
   std::size_t k = 5;
   double minkowski_p = 2.0;
-  /// Spatial-index knobs; mode = kNone forces the brute-force scan.
+  /// Spatial-index settings; mode = kNone forces the brute-force scan.
   KnnIndexConfig index;
 };
 
@@ -60,7 +61,7 @@ class KnnClassifier final : public Classifier {
   std::size_t dim() const noexcept { return index_.dim(); }
   const KnnConfig& config() const noexcept { return config_; }
 
-  /// The neighbor store (ready() is false when the scan is in use).
+  /// The neighbor store (ready() is false when queries scan).
   const KnnIndex& index() const noexcept { return index_; }
 
   /// Indices of the k nearest training rows to `query` (ascending
@@ -83,7 +84,6 @@ class KnnClassifier final : public Classifier {
   void top_k(std::span<const float> query, bool scalar, std::vector<std::size_t>& idx,
              std::vector<double>& dist) const;
   Label vote(std::span<const std::size_t> idx) const;
-  void build_index(FeatureView x);
 
   KnnConfig config_;
   std::size_t n_classes_ = 0;

@@ -3,10 +3,13 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numeric>
+#include <stdexcept>
 #include <string_view>
 #include <unordered_map>
 
 #include "ml/knn_kernels.hpp"
+#include "ml/serialize.hpp"
 #include "ml/top_k.hpp"
 #include "util/annotations.hpp"
 
@@ -25,6 +28,10 @@ namespace {
 /// power is unmeasurable.
 constexpr double kPruneSlackRel = 1e-4;
 
+/// Widest row a model file may declare: bounds the allocations a
+/// hostile dim field drives before anything else is trusted.
+constexpr std::uint64_t kMaxDim = 1ULL << 24;
+
 bool all_finite(const float* data, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) {
     if (!std::isfinite(data[i])) return false;
@@ -38,91 +45,109 @@ const char* knn_index_mode_name(KnnIndexMode mode) noexcept {
   return mode == KnnIndexMode::kBoundTree ? "tree" : "none";
 }
 
-std::optional<KnnIndexMode> parse_knn_index_mode(std::string_view name) noexcept {
-  if (name == "none") return KnnIndexMode::kNone;
-  if (name == "tree") return KnnIndexMode::kBoundTree;
-  return std::nullopt;
-}
-
-void KnnIndex::clear() {
-  dim_ = 0;
-  data_.clear();
-  norms_.clear();
-  stats_ = {};
-  points_.clear();
-  point_norms_.clear();
-  group_offsets_.clear();
-  group_rows_.clear();
-  nodes_.clear();
-  bounds_lo_.clear();
-  bounds_hi_.clear();
-}
-
 // ---------------------------------------------------------------- build
 
 void KnnIndex::build(FeatureView data, const KnnIndexConfig& config) {
-  clear();
-  dim_ = data.cols;
-  data_.assign(data.data, data.data + data.rows * data.cols);
-  norms_.resize(data.rows);
-  for (std::size_t i = 0; i < data.rows; ++i) {
-    norms_[i] = row_norm_sq(data_.data() + i * dim_, dim_);
+  if (data.rows > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::length_error("knn index: row ids are 32-bit; 2^32 rows or more");
   }
-  if (config.mode == KnnIndexMode::kNone || data.rows < config.min_rows) return;
-  if (data.empty() || data.rows >= std::numeric_limits<std::uint32_t>::max()) return;
-  if (!all_finite(data_.data(), data_.size())) return;
-  build_tree(std::max<std::size_t>(config.leaf_size, 1));
+  *this = KnnIndex();
+  dim_ = data.cols;
+  // Group byte-identical rows: identical bytes produce identical dot
+  // products under any deterministic kernel, so one point stands in for
+  // its whole group on every path. The keys view the caller's rows,
+  // which outlive this loop. Non-finite rows group by their bytes too.
+  const std::size_t row_bytes = dim_ * sizeof(float);
+  std::unordered_map<std::string_view, std::uint32_t> seen;
+  seen.reserve(data.rows);
+  row_point_.resize(data.rows);
+  for (std::size_t i = 0; i < data.rows; ++i) {
+    const float* row = data.data + i * dim_;
+    const auto next_id = static_cast<std::uint32_t>(seen.size());
+    const auto [it, inserted] = seen.emplace(
+        std::string_view(reinterpret_cast<const char*>(row), row_bytes), next_id);
+    if (inserted) points_.insert(points_.end(), row, row + dim_);
+    row_point_[i] = it->second;
+  }
+  index_points(seen.size(), config);
+}
+
+void KnnIndex::save(std::ostream& out) const {
+  io::write_pod(out, static_cast<std::uint64_t>(dim_));
+  io::write_vec(out, points_);
+  io::write_vec(out, row_point_);
+}
+
+bool KnnIndex::load(std::istream& in, const KnnIndexConfig& config) {
+  std::uint64_t dim = 0;
+  std::vector<float> points;
+  std::vector<std::uint32_t> row_point;
+  if (!io::read_pod(in, dim) || dim == 0 || dim > kMaxDim) return false;
+  if (!io::read_vec(in, points, io::kMaxVecElems) ||
+      !io::read_vec(in, row_point, io::kMaxVecElems)) {
+    return false;
+  }
+  if (points.size() % dim != 0) return false;
+  const std::size_t n_points = points.size() / dim;
+  for (const std::uint32_t point : row_point) {
+    if (point >= n_points) return false;
+  }
+  *this = KnnIndex();
+  dim_ = static_cast<std::size_t>(dim);
+  points_ = std::move(points);
+  row_point_ = std::move(row_point);
+  index_points(n_points, config);
+  return true;
+}
+
+void KnnIndex::index_points(std::size_t n_points, const KnnIndexConfig& config) {
+  stats_.rows = row_point_.size();
+  stats_.unique_rows = n_points;
+  const bool tree = config.mode == KnnIndexMode::kBoundTree && n_points > 0 &&
+                    all_finite(points_.data(), points_.size());
+  if (tree) build_tree(n_points, std::max<std::size_t>(config.leaf_size, 1));
+  point_norms_.resize(n_points);
+  for (std::size_t u = 0; u < n_points; ++u) {
+    point_norms_[u] = row_norm_sq(points_.data() + u * dim_, dim_);
+  }
+  if (!tree) return;
+
+  // Per-point row ids, ascending (rows visited in order).
+  group_offsets_.assign(n_points + 1, 0);
+  for (const std::uint32_t u : row_point_) ++group_offsets_[u + 1];
+  std::partial_sum(group_offsets_.begin(), group_offsets_.end(), group_offsets_.begin());
+  std::vector<std::uint32_t> cursor(group_offsets_.begin(), group_offsets_.end() - 1);
+  group_rows_.resize(row_point_.size());
+  for (std::size_t i = 0; i < row_point_.size(); ++i) {
+    group_rows_[cursor[row_point_[i]]++] = static_cast<std::uint32_t>(i);
+  }
+
+  bounds_lo_.assign(nodes_.size() * dim_, std::numeric_limits<float>::infinity());
+  bounds_hi_.assign(nodes_.size() * dim_, -std::numeric_limits<float>::infinity());
+  for (std::size_t node = 0; node < nodes_.size(); ++node) {
+    float* lo = bounds_lo_.data() + node * dim_;
+    float* hi = bounds_hi_.data() + node * dim_;
+    for (std::uint32_t p = nodes_[node].begin; p < nodes_[node].end; ++p) {
+      const float* point = points_.data() + static_cast<std::size_t>(p) * dim_;
+      for (std::size_t d = 0; d < dim_; ++d) {
+        lo[d] = std::min(lo[d], point[d]);
+        hi[d] = std::max(hi[d], point[d]);
+      }
+    }
+  }
   stats_.mode = config.mode;
-  stats_.rows = data.rows;
-  stats_.unique_rows = points_.size() / dim_;
   stats_.nodes = nodes_.size();
   for (const Node& node : nodes_) {
     if (node.left < 0) ++stats_.leaves;
   }
 }
 
-void KnnIndex::build_tree(std::size_t leaf_size) {
-  // Group byte-identical rows: identical bytes produce identical dot
-  // products under any deterministic kernel, so one distance per unique
-  // point stands in for the whole group. NaN payload bits group too
-  // (byte equality, not float equality), but build() already refused
-  // non-finite data before this runs.
-  const std::size_t n = rows();
-  const std::size_t row_bytes = dim_ * sizeof(float);
-  std::unordered_map<std::string_view, std::uint32_t> seen;
-  seen.reserve(n);
-  std::vector<std::uint32_t> row_uid(n);
-  std::vector<float> unique_points;
-  for (std::size_t i = 0; i < n; ++i) {
-    const float* row = data_.data() + i * dim_;
-    const auto [it, inserted] =
-        seen.emplace(std::string_view(reinterpret_cast<const char*>(row), row_bytes),
-                     static_cast<std::uint32_t>(unique_points.size() / dim_));
-    if (inserted) unique_points.insert(unique_points.end(), row, row + dim_);
-    row_uid[i] = it->second;
-  }
-  const std::size_t nu = unique_points.size() / dim_;
-
-  // Per-group original row ids, ascending (rows visited in order).
-  std::vector<std::uint32_t> group_count(nu, 0);
-  for (const std::uint32_t uid : row_uid) ++group_count[uid];
-  std::vector<std::uint32_t> group_begin(nu, 0);
-  std::uint32_t acc = 0;
-  for (std::size_t u = 0; u < nu; ++u) {
-    group_begin[u] = acc;
-    acc += group_count[u];
-  }
-  std::vector<std::uint32_t> group_rows(n);
-  std::vector<std::uint32_t> cursor = group_begin;
-  for (std::size_t i = 0; i < n; ++i) {
-    group_rows[cursor[row_uid[i]]++] = static_cast<std::uint32_t>(i);
-  }
-
+void KnnIndex::build_tree(std::size_t n_points, std::size_t leaf_size) {
   // Recursive median split over `order`; nodes are appended preorder so
   // children always follow their parent.
-  std::vector<std::uint32_t> order(nu);
-  for (std::size_t u = 0; u < nu; ++u) order[u] = static_cast<std::uint32_t>(u);
-  nodes_.reserve(2 * nu / leaf_size + 2);
+  std::vector<std::uint32_t> order(n_points);
+  std::iota(order.begin(), order.end(), 0U);
+  nodes_.reserve(2 * n_points / leaf_size + 2);
   struct Builder {
     std::vector<Node>& nodes;
     std::vector<std::uint32_t>& order;
@@ -151,8 +176,8 @@ void KnnIndex::build_tree(std::size_t leaf_size) {
           split_dim = d;
         }
       }
-      // Zero extent means every remaining unique point is value-equal
-      // (e.g. -0.0 vs 0.0 byte-distinct rows): splitting cannot make
+      // Zero extent means every remaining point is value-equal (e.g.
+      // -0.0 vs 0.0 byte-distinct rows): splitting cannot make
       // progress, so the node stays a leaf.
       if (!(best_extent > 0.0F)) return idx;
       const std::uint32_t mid = begin + static_cast<std::uint32_t>(count / 2);
@@ -168,38 +193,30 @@ void KnnIndex::build_tree(std::size_t leaf_size) {
       return idx;
     }
   };
-  Builder{nodes_, order, unique_points, dim_, leaf_size}.build(0, static_cast<std::uint32_t>(nu));
+  Builder{nodes_, order, points_, dim_, leaf_size}.build(0, static_cast<std::uint32_t>(n_points));
 
-  // Gather points and groups into leaf order.
-  points_.resize(nu * dim_);
-  point_norms_.resize(nu);
-  group_offsets_.assign(nu + 1, 0);
-  group_rows_.resize(n);
-  std::uint32_t out = 0;
-  for (std::size_t pos = 0; pos < nu; ++pos) {
-    const std::uint32_t uid = order[pos];
-    std::copy_n(unique_points.data() + static_cast<std::size_t>(uid) * dim_, dim_,
-                points_.data() + pos * dim_);
-    point_norms_[pos] = row_norm_sq(points_.data() + pos * dim_, dim_);
-    group_offsets_[pos] = out;
-    std::copy_n(group_rows.data() + group_begin[uid], group_count[uid],
-                group_rows_.data() + out);
-    out += group_count[uid];
+  // Leaf order: position `pos` takes point order[pos]. Renumber the
+  // rows' point ids, then move each point along the permutation's
+  // cycles, so the reorder needs one spare row, not a second store.
+  std::vector<std::uint32_t> renumbered(n_points);
+  for (std::size_t pos = 0; pos < n_points; ++pos) {
+    renumbered[order[pos]] = static_cast<std::uint32_t>(pos);
   }
-  group_offsets_[nu] = out;
-
-  bounds_lo_.assign(nodes_.size() * dim_, std::numeric_limits<float>::infinity());
-  bounds_hi_.assign(nodes_.size() * dim_, -std::numeric_limits<float>::infinity());
-  for (std::size_t node = 0; node < nodes_.size(); ++node) {
-    float* lo = bounds_lo_.data() + node * dim_;
-    float* hi = bounds_hi_.data() + node * dim_;
-    for (std::uint32_t p = nodes_[node].begin; p < nodes_[node].end; ++p) {
-      const float* point = points_.data() + static_cast<std::size_t>(p) * dim_;
-      for (std::size_t d = 0; d < dim_; ++d) {
-        lo[d] = std::min(lo[d], point[d]);
-        hi[d] = std::max(hi[d], point[d]);
-      }
+  for (std::uint32_t& u : row_point_) u = renumbered[u];
+  std::vector<float> held(dim_);
+  const auto point = [&](std::size_t u) { return points_.data() + u * dim_; };
+  for (std::size_t start = 0; start < n_points; ++start) {
+    if (order[start] == start) continue;
+    std::copy_n(point(start), dim_, held.data());
+    std::size_t pos = start;
+    while (order[pos] != start) {
+      const std::size_t from = order[pos];
+      std::copy_n(point(from), dim_, point(pos));
+      order[pos] = static_cast<std::uint32_t>(pos);
+      pos = from;
     }
+    std::copy_n(held.data(), dim_, point(pos));
+    order[pos] = static_cast<std::uint32_t>(pos);
   }
 }
 
@@ -232,31 +249,29 @@ void KnnIndex::search_scalar(std::span<const float> query, std::size_t k, double
     return;
   }
   for (std::size_t i = 0; i < rows(); ++i) {
-    const float* row = data_.data() + i * dim_;
+    const std::size_t u = row_point_[i];
+    const float* row = points_.data() + u * dim_;
     float dot = 0.0F;
     for (std::size_t j = 0; j < dim_; ++j) dot += row[j] * query[j];
-    top.consider(i, static_cast<double>(norms_[i]) - 2.0 * static_cast<double>(dot));
+    top.consider(i, static_cast<double>(point_norms_[u]) - 2.0 * static_cast<double>(dot));
   }
 }
 
 MCB_HOT_PATH void KnnIndex::scan(const float* q, TopK& top) const {
   // Squared-distance scan via dot products (monotone in the true
-  // distance, so ranking is unaffected).
-  const std::size_t n = rows();
-  float dots[kScanTile];
-  for (std::size_t base = 0; base < n; base += kScanTile) {
-    const std::size_t count = std::min(kScanTile, n - base);
-    tile_dots(data_.data() + base * dim_, count, dim_, q, dots);
-    for (std::size_t i = 0; i < count; ++i) {
-      top.consider(base + i, static_cast<double>(norms_[base + i]) -
-                                 2.0 * static_cast<double>(dots[i]));
-    }
+  // distance, so ranking is unaffected): one distance per training row,
+  // in row order — the brute-force reference the tree is measured
+  // against.
+  for (std::size_t i = 0; i < rows(); ++i) {
+    const std::size_t u = row_point_[i];
+    const float dot = row_dot(points_.data() + u * dim_, q, dim_);
+    top.consider(i, static_cast<double>(point_norms_[u]) - 2.0 * static_cast<double>(dot));
   }
 }
 
 void KnnIndex::scan_minkowski(const float* q, double p, TopK& top) const {
   for (std::size_t i = 0; i < rows(); ++i) {
-    const float* row = data_.data() + i * dim_;
+    const float* row = points_.data() + static_cast<std::size_t>(row_point_[i]) * dim_;
     double sum = 0.0;
     for (std::size_t j = 0; j < dim_; ++j) {
       sum += std::pow(std::abs(static_cast<double>(row[j]) - q[j]), p);
@@ -283,24 +298,18 @@ MCB_HOT_PATH double KnnIndex::node_min_dist_sq(std::size_t node, const float* q)
 
 MCB_HOT_PATH void KnnIndex::scan_segment(std::uint32_t begin, std::uint32_t end,
                                          const float* q, std::size_t k, TopK& top) const {
-  float dots[kScanTile];
-  for (std::uint32_t base = begin; base < end; base += kScanTile) {
-    const std::size_t count = std::min<std::size_t>(kScanTile, end - base);
-    tile_dots(points_.data() + static_cast<std::size_t>(base) * dim_, count, dim_, q, dots);
-    for (std::size_t i = 0; i < count; ++i) {
-      const std::size_t u = base + i;
-      // Same distance key as scan(): monotone in the true distance; the
-      // query norm is constant across rows.
-      const double d =
-          static_cast<double>(point_norms_[u]) - 2.0 * static_cast<double>(dots[i]);
-      const std::uint32_t off = group_offsets_[u];
-      const std::uint32_t take =
-          std::min<std::uint32_t>(static_cast<std::uint32_t>(k), group_offsets_[u + 1] - off);
-      // Duplicates tie on distance, so only the group's first k
-      // (lowest) row ids can survive the shared tie-break.
-      for (std::uint32_t j = 0; j < take; ++j) {
-        top.consider(group_rows_[off + j], d);
-      }
+  for (std::uint32_t u = begin; u < end; ++u) {
+    // Same distance key as scan(): monotone in the true distance; the
+    // query norm is constant across rows.
+    const float dot = row_dot(points_.data() + static_cast<std::size_t>(u) * dim_, q, dim_);
+    const double d = static_cast<double>(point_norms_[u]) - 2.0 * static_cast<double>(dot);
+    const std::uint32_t off = group_offsets_[u];
+    const std::uint32_t take =
+        std::min<std::uint32_t>(static_cast<std::uint32_t>(k), group_offsets_[u + 1] - off);
+    // Duplicates tie on distance, so only the group's first k (lowest)
+    // row ids can survive the shared tie-break.
+    for (std::uint32_t j = 0; j < take; ++j) {
+      top.consider(group_rows_[off + j], d);
     }
   }
 }

@@ -1,11 +1,11 @@
 // Shared distance kernels for the KNN scan and the spatial index.
 //
-// tile_dots is the deterministic 4-accumulator dot kernel from the PR 3
+// row_dot is the deterministic 4-accumulator dot kernel of the batched
 // fast path (see knn.hpp header comment for the vectorization
-// rationale). It lives here so the tiled scan and the bounding-box
-// tree's leaf sweep both compute *bitwise identical*
-// distances for the same row bytes — the precondition for the shared
-// TopK tie-break to make their results interchangeable.
+// rationale). It lives here so the scan and the bounding-box tree's
+// leaf sweep both compute *bitwise identical* distances for the same
+// row bytes — the precondition for the shared TopK tie-break to make
+// their results interchangeable.
 #pragma once
 
 #include <cstddef>
@@ -14,36 +14,25 @@
 
 namespace mcb {
 
-/// Training rows per tile of the p=2 fast scan: distances for a whole
-/// tile are materialized into a small stack buffer before the top-k
-/// insertion runs over them.
-inline constexpr std::size_t kScanTile = 128;
-
-/// Dot of one query against `n_rows` consecutive training rows. Four
-/// independent accumulators break the FP-add dependence chain (float
-/// addition is not associative, so the compiler cannot do this on its
-/// own); the fixed combine order keeps results deterministic across
-/// compilers and runs.
-MCB_HOT_PATH inline void tile_dots(const float* rows, std::size_t n_rows, std::size_t dim,
-                                   const float* q, float* out) {
-  for (std::size_t i = 0; i < n_rows; ++i) {
-    const float* row = rows + i * dim;
-    float acc0 = 0.0F, acc1 = 0.0F, acc2 = 0.0F, acc3 = 0.0F;
-    std::size_t j = 0;
-    for (; j + 4 <= dim; j += 4) {
-      acc0 += row[j] * q[j];
-      acc1 += row[j + 1] * q[j + 1];
-      acc2 += row[j + 2] * q[j + 2];
-      acc3 += row[j + 3] * q[j + 3];
-    }
-    for (; j < dim; ++j) acc0 += row[j] * q[j];
-    out[i] = (acc0 + acc1) + (acc2 + acc3);
+/// Dot of one query against one training row. Four independent
+/// accumulators break the FP-add dependence chain (float addition is not
+/// associative, so the compiler cannot do this on its own); the fixed
+/// combine order keeps results deterministic across compilers and runs.
+MCB_HOT_PATH inline float row_dot(const float* row, const float* q, std::size_t dim) {
+  float acc0 = 0.0F, acc1 = 0.0F, acc2 = 0.0F, acc3 = 0.0F;
+  std::size_t j = 0;
+  for (; j + 4 <= dim; j += 4) {
+    acc0 += row[j] * q[j];
+    acc1 += row[j + 1] * q[j + 1];
+    acc2 += row[j + 2] * q[j + 2];
+    acc3 += row[j + 3] * q[j + 3];
   }
+  for (; j < dim; ++j) acc0 += row[j] * q[j];
+  return (acc0 + acc1) + (acc2 + acc3);
 }
 
-/// ||row||^2 in double, rounded to float — the exact expression fit()
-/// and the index both use, so per-row norms are bitwise identical
-/// wherever they are computed.
+/// ||row||^2 in double, rounded to float: the row term of every p = 2
+/// distance key, computed once per stored point.
 MCB_HOT_PATH inline float row_norm_sq(const float* row, std::size_t dim) {
   double n2 = 0.0;
   for (std::size_t j = 0; j < dim; ++j) n2 += static_cast<double>(row[j]) * row[j];

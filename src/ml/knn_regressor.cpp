@@ -10,10 +10,6 @@
 
 namespace mcb {
 
-namespace {
-constexpr std::uint64_t kMaxDim = 1ULL << 24;
-}  // namespace
-
 KnnRegressor::KnnRegressor(KnnRegressorConfig config) : config_(config) {
   if (config_.k == 0) config_.k = 1;
 }
@@ -74,8 +70,7 @@ bool KnnRegressor::save(std::ostream& out) const {
   // Serialized as uint8_t: reading an arbitrary file byte into a C++
   // bool is UB for values other than 0/1 (UBSan "invalid bool load").
   io::write_pod(out, static_cast<std::uint8_t>(config_.distance_weighted ? 1 : 0));
-  io::write_pod(out, static_cast<std::uint64_t>(dim()));
-  io::write_vec(out, index_.data());
+  index_.save(out);
   io::write_vec(out, targets_);
   return static_cast<bool>(out);
 }
@@ -83,31 +78,25 @@ bool KnnRegressor::save(std::ostream& out) const {
 bool KnnRegressor::load(std::istream& in) {
   std::uint32_t kind = 0;
   if (!io::read_header(in, kind) || kind != io::kKindKnnRegressor) return false;
-  std::uint64_t k = 0, dim = 0;
+  std::uint64_t k = 0;
   std::uint8_t distance_weighted = 0;
-  if (!io::read_pod(in, k) || !io::read_pod(in, distance_weighted) || !io::read_pod(in, dim)) {
-    return false;
-  }
+  if (!io::read_pod(in, k) || !io::read_pod(in, distance_weighted)) return false;
   // k == 0 from a file would build an empty TopK (dist_.back() UB) and
   // divide by zero in the unweighted mean; the ctor clamp does not
   // protect this path. The flag byte must be a canonical bool.
   if (k == 0) return false;
   if (distance_weighted > 1) return false;
-  if (dim == 0 || dim > kMaxDim) return false;
-  std::vector<float> train_data;
+  KnnIndex index;
   std::vector<double> targets;
-  if (!io::read_vec(in, train_data, io::kMaxVecElems) ||
-      !io::read_vec(in, targets, io::kMaxVecElems)) {
+  if (!index.load(in, config_.index) || !io::read_vec(in, targets, io::kMaxVecElems)) {
     return false;
   }
-  if (targets.empty() || targets.size() * static_cast<std::size_t>(dim) != train_data.size()) {
-    return false;
-  }
+  // One target per stored row.
+  if (targets.empty() || targets.size() != index.rows()) return false;
   config_.k = static_cast<std::size_t>(k);
   config_.distance_weighted = distance_weighted != 0;
   targets_ = std::move(targets);
-  index_.build(FeatureView{train_data.data(), targets_.size(), static_cast<std::size_t>(dim)},
-               config_.index);
+  index_ = std::move(index);
   return true;
 }
 

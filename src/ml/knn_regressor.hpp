@@ -8,7 +8,7 @@
 // neighbors' target values.
 //
 // The neighbor search is the classifier's own neighbor store (KnnIndex:
-// the rows, the pruned spatial index and the tiled-scan fallback behind
+// each distinct row once, the pruned spatial index and the scan behind
 // one TopK tie-break), so classifier and regressor pick identical
 // neighbor sets for identical data by construction.
 #pragma once
@@ -28,7 +28,7 @@ class ThreadPool;
 struct KnnRegressorConfig {
   std::size_t k = 5;
   bool distance_weighted = false;  ///< 1/d weights instead of uniform mean
-  /// Spatial-index knobs; mode = kNone forces the brute-force scan.
+  /// Spatial-index settings; mode = kNone forces the brute-force scan.
   KnnIndexConfig index;
 };
 
@@ -42,7 +42,7 @@ class KnnRegressor {
   std::size_t dim() const noexcept { return index_.dim(); }
   const KnnRegressorConfig& config() const noexcept { return config_; }
 
-  /// The neighbor store (ready() is false when the scan is in use).
+  /// The neighbor store (ready() is false when queries scan).
   const KnnIndex& index() const noexcept { return index_; }
 
   double predict_one(std::span<const float> query) const;

@@ -59,14 +59,19 @@ void write_header(std::ostream& out, std::uint32_t model_kind);
 /// Validate magic/version and return the model-kind tag via out-param.
 bool read_header(std::istream& in, std::uint32_t& model_kind);
 
-// All kinds live here so collisions are impossible. Tags 4 (standalone
-// flat forest) and 6 (standalone KNN index) belonged to retired formats
-// and stay reserved: reusing one would let an old file parse as a new
-// model.
-inline constexpr std::uint32_t kKindKnn = 1;
+// All kinds live here so collisions are impossible. Retired formats
+// keep their tags reserved, so an old file is rejected at the header
+// instead of being misread as a new model:
+//   1  KNN classifier storing every training row
+//   4  standalone flat forest
+//   5  KNN regressor storing every training row
+//   6  standalone KNN index
 inline constexpr std::uint32_t kKindRandomForest = 2;
 inline constexpr std::uint32_t kKindBaseline = 3;
-inline constexpr std::uint32_t kKindKnnRegressor = 5;
+/// KNN classifier and regressor over one KnnIndex store: each distinct
+/// row once plus a point id per row (ml/knn_index.hpp).
+inline constexpr std::uint32_t kKindKnn = 7;
+inline constexpr std::uint32_t kKindKnnRegressor = 8;
 
 /// Upper bound on elements accepted for any single model vector. read_vec
 /// resizes before reading, so without a cap a crafted 8-byte length prefix

@@ -108,6 +108,14 @@ std::optional<JobRecord> parse_job_body(const HttpRequest& request, HttpResponse
   return job;
 }
 
+/// The served KNN model's store stats; all zero (mode "none") while no
+/// KNN model is published.
+KnnIndexStats served_knn_stats(const ModelSnapshot* snapshot) {
+  const KnnIndexStats* stats =
+      snapshot != nullptr ? snapshot->model.knn_index_stats() : nullptr;
+  return stats != nullptr ? *stats : KnnIndexStats{};
+}
+
 }  // namespace
 
 ApiServer::ApiServer(Framework& framework, ServerConfig server_config)
@@ -231,14 +239,10 @@ void ApiServer::collect_app_metrics(std::vector<obs::MetricFamily>& out) const {
     training.points.push_back(obs::scalar_point({}, training_.load() ? 1.0 : 0.0));
     out.push_back(std::move(training));
 
-    KnnIndexStats index_stats;  // mode defaults to kNone = scan
-    const KnnIndexStats* stats =
-        snapshot != nullptr ? snapshot->model.knn_index_stats() : nullptr;
-    if (stats != nullptr) index_stats = *stats;
-
     // How KNN inference is served (DESIGN.md §11). mode="none" means
-    // the brute-force scan; unique_rows < rows quantifies the duplicate
-    // grouping that drives the index speedup on batchy HPC traces.
+    // the brute-force scan; unique_rows < rows is the duplicate grouping
+    // that sizes the store and drives the index speedup.
+    const KnnIndexStats index_stats = served_knn_stats(snapshot.get());
     obs::MetricFamily index_info;
     index_info.name = "mcb_knn_index_info";
     index_info.help = "Constant 1; KNN spatial index mode in the label.";
@@ -249,7 +253,7 @@ void ApiServer::collect_app_metrics(std::vector<obs::MetricFamily>& out) const {
 
     obs::MetricFamily index_rows;
     index_rows.name = "mcb_knn_index_rows";
-    index_rows.help = "Rows held by the KNN spatial index (0 = scan).";
+    index_rows.help = "Training rows (total) and distinct rows (unique) of the served KNN.";
     index_rows.type = obs::MetricType::kGauge;
     index_rows.points.push_back(obs::scalar_point(
         {{"kind", "total"}}, static_cast<double>(index_stats.rows)));
@@ -462,21 +466,16 @@ HttpResponse ApiServer::handle_model_info(const HttpRequest&) {
   body.set("features", features);
   if (snapshot != nullptr) body.set("version", static_cast<std::int64_t>(snapshot->version));
   if (config.model == ModelKind::kKnn) {
-    // Surface how KNN queries are served (DESIGN.md §11): the pruned
-    // spatial index when one is built, otherwise the brute-force scan
-    // (index disabled, p != 2, or training set below min_rows).
+    // Surface how KNN queries are served (DESIGN.md §11): the store's
+    // rows and distinct rows, and the pruned spatial index when one is
+    // built (mode "none": the brute-force scan, e.g. p != 2).
+    const KnnIndexStats stats = served_knn_stats(snapshot.get());
     Json index_json = Json::object();
-    const KnnIndexStats* stats =
-        snapshot != nullptr ? snapshot->model.knn_index_stats() : nullptr;
-    if (stats != nullptr) {
-      index_json.set("mode", knn_index_mode_name(stats->mode));
-      index_json.set("rows", static_cast<std::int64_t>(stats->rows));
-      index_json.set("unique_rows", static_cast<std::int64_t>(stats->unique_rows));
-      index_json.set("nodes", static_cast<std::int64_t>(stats->nodes));
-      index_json.set("leaves", static_cast<std::int64_t>(stats->leaves));
-    } else {
-      index_json.set("mode", "none");
-    }
+    index_json.set("mode", knn_index_mode_name(stats.mode));
+    index_json.set("rows", static_cast<std::int64_t>(stats.rows));
+    index_json.set("unique_rows", static_cast<std::int64_t>(stats.unique_rows));
+    index_json.set("nodes", static_cast<std::int64_t>(stats.nodes));
+    index_json.set("leaves", static_cast<std::int64_t>(stats.leaves));
     body.set("knn_index", index_json);
   }
   return HttpResponse::json(200, body.dump());

@@ -11,6 +11,7 @@
 #include "core/online_evaluator.hpp"
 #include "roofline/analysis.hpp"
 #include "serve/api.hpp"
+#include "util/thread_pool.hpp"
 #include "workload/generator.hpp"
 
 namespace mcb {
@@ -25,18 +26,24 @@ class IntegrationTest : public ::testing::Test {
     WorkloadGenerator generator(*config_);
     store_ = std::make_unique<JobStore>();
     store_->insert_all(generator.generate());
+    pool_ = std::make_unique<ThreadPool>();
   }
   static void TearDownTestSuite() {
+    pool_.reset();
     store_.reset();
     config_.reset();
   }
 
   static std::unique_ptr<WorkloadConfig> config_;
   static std::unique_ptr<JobStore> store_;
+  /// Shared by every OnlineEvaluator: forest trees are seeded per tree
+  /// and KNN queries are independent, so results match a serial run.
+  static std::unique_ptr<ThreadPool> pool_;
 };
 
 std::unique_ptr<WorkloadConfig> IntegrationTest::config_;
 std::unique_ptr<JobStore> IntegrationTest::store_;
+std::unique_ptr<ThreadPool> IntegrationTest::pool_;
 
 TEST_F(IntegrationTest, WorkloadShapeMatchesPaperAnalysis) {
   const Characterizer ch(config_->machine);
@@ -56,7 +63,7 @@ TEST_F(IntegrationTest, WorkloadShapeMatchesPaperAnalysis) {
 TEST_F(IntegrationTest, OnlineKnnReachesPaperBandAndBeatsStaleSettings) {
   const Characterizer ch(config_->machine);
   const FeatureEncoder encoder;
-  const OnlineEvaluator evaluator(*store_, ch, encoder);
+  const OnlineEvaluator evaluator(*store_, ch, encoder, pool_.get());
 
   OnlineEvalConfig best;
   best.alpha_days = 30;
@@ -81,7 +88,7 @@ TEST_F(IntegrationTest, OnlineKnnReachesPaperBandAndBeatsStaleSettings) {
 TEST_F(IntegrationTest, RandomForestMatchesOrBeatsKnn) {
   const Characterizer ch(config_->machine);
   const FeatureEncoder encoder;
-  const OnlineEvaluator evaluator(*store_, ch, encoder);
+  const OnlineEvaluator evaluator(*store_, ch, encoder, pool_.get());
 
   OnlineEvalConfig rf_config;
   // The paper's best RF setting is alpha = 15 at 25K jobs/day; at the
@@ -110,7 +117,7 @@ TEST_F(IntegrationTest, RandomForestMatchesOrBeatsKnn) {
 TEST_F(IntegrationTest, BothModelsBeatTheLookupBaseline) {
   const Characterizer ch(config_->machine);
   const FeatureEncoder encoder;
-  const OnlineEvaluator evaluator(*store_, ch, encoder);
+  const OnlineEvaluator evaluator(*store_, ch, encoder, pool_.get());
 
   OnlineEvalConfig config;
   config.alpha_days = 30;
@@ -125,7 +132,7 @@ TEST_F(IntegrationTest, BothModelsBeatTheLookupBaseline) {
 TEST_F(IntegrationTest, TrainingTimeScalesWithAlphaForRf) {
   const Characterizer ch(config_->machine);
   const FeatureEncoder encoder;
-  const OnlineEvaluator evaluator(*store_, ch, encoder);
+  const OnlineEvaluator evaluator(*store_, ch, encoder, pool_.get());
 
   RandomForestConfig forest;
   forest.n_trees = 30;
@@ -177,7 +184,7 @@ TEST_F(IntegrationTest, EmbeddingCacheEliminatesRecomputation) {
 TEST_F(IntegrationTest, ThetaRandomBeatsLatestAtSmallBudgets) {
   const Characterizer ch(config_->machine);
   const FeatureEncoder encoder;
-  const OnlineEvaluator evaluator(*store_, ch, encoder);
+  const OnlineEvaluator evaluator(*store_, ch, encoder, pool_.get());
 
   OnlineEvalConfig config;
   config.alpha_days = 30;

@@ -8,12 +8,15 @@
 // tree, for the classifier and the regressor alike.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <stdexcept>
 
 #include "ml/knn.hpp"
 #include "ml/knn_index.hpp"
 #include "ml/knn_regressor.hpp"
+#include "ml/top_k.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -56,11 +59,53 @@ RandomData make_duplicate_data(std::size_t rows, std::size_t dims, std::size_t u
   return data;
 }
 
+/// Integer-valued rows drawn from `unique` points with coordinates in
+/// [-3, 3]: every float product and sum on them is exact, so any two
+/// correct rankings agree exactly, and distinct points often tie.
+RandomData make_integer_duplicate_data(std::size_t rows, std::size_t dims, std::size_t unique,
+                                       std::uint64_t seed) {
+  Rng rng(seed);
+  FeatureMatrix pool(unique, dims);
+  for (std::size_t u = 0; u < unique; ++u) {
+    for (std::size_t d = 0; d < dims; ++d) {
+      pool.row(u)[d] = static_cast<float>(static_cast<int>(rng.bounded(7)) - 3);
+    }
+  }
+  RandomData data{FeatureMatrix(rows, dims), std::vector<Label>(rows)};
+  for (std::size_t i = 0; i < rows; ++i) {
+    const std::size_t pick = rng.bounded(unique);
+    data.y[i] = static_cast<Label>(pick % 2);
+    std::copy_n(pool.row(pick), dims, data.x.row(i));
+  }
+  return data;
+}
+
+/// The k nearest rows of `x` to `query` by brute force over the
+/// caller's own matrix, independent of any store: exact double sums of
+/// |x - q|^p, ties toward the lower row id, NaN distances never ranked,
+/// unfilled slots kTopKNoRow.
+std::vector<std::size_t> brute_force_top_k(const FeatureMatrix& x,
+                                           std::span<const float> query, std::size_t k,
+                                           double p) {
+  std::vector<std::pair<double, std::size_t>> ranked;
+  for (std::size_t i = 0; i < x.rows(); ++i) {
+    const auto row = x.row(i);
+    double sum = 0.0;
+    for (std::size_t d = 0; d < query.size(); ++d) {
+      sum += std::pow(std::abs(static_cast<double>(row[d]) - query[d]), p);
+    }
+    if (!std::isnan(sum)) ranked.emplace_back(sum, i);
+  }
+  std::sort(ranked.begin(), ranked.end());
+  std::vector<std::size_t> out(std::min(k, x.rows()), kTopKNoRow);
+  for (std::size_t j = 0; j < out.size() && j < ranked.size(); ++j) out[j] = ranked[j].second;
+  return out;
+}
+
 KnnConfig tree_config(std::size_t k, std::size_t leaf_size = 8) {
   KnnConfig config;
   config.k = k;
   config.index.mode = KnnIndexMode::kBoundTree;
-  config.index.min_rows = 1;  // always index, even tiny training sets
   config.index.leaf_size = leaf_size;
   return config;
 }
@@ -181,17 +226,6 @@ TEST(KnnIndexTree, NonFiniteTrainingDataDisablesIndex) {
   EXPECT_EQ(knn.predict(queries.x.view()), knn.predict_scalar(queries.x.view()));
 }
 
-TEST(KnnIndexTree, MinRowsThresholdKeepsScan) {
-  const auto train = make_random_data(100, 4, 21);
-  KnnConfig config = tree_config(5);
-  config.index.min_rows = 512;  // the default serving threshold
-  KnnClassifier knn(config);
-  knn.fit(train.x.view(), train.y);
-  EXPECT_FALSE(knn.index().ready());
-  const auto queries = make_random_data(20, 4, 22);
-  EXPECT_EQ(knn.predict(queries.x.view()), knn.predict_scalar(queries.x.view()));
-}
-
 TEST(KnnIndexTree, ParallelPredictionMatchesSerial) {
   const auto train = make_duplicate_data(1000, 5, 80, 33);
   const auto queries = make_random_data(64, 5, 34);
@@ -216,7 +250,6 @@ TEST(KnnIndexRegressor, IndexedPredictionsMatchScanBitwise) {
     indexed.k = 5;
     indexed.distance_weighted = weighted;
     indexed.index.mode = KnnIndexMode::kBoundTree;
-    indexed.index.min_rows = 1;
     indexed.index.leaf_size = 8;
     KnnRegressorConfig scan = indexed;
     scan.index.mode = KnnIndexMode::kNone;
@@ -243,7 +276,6 @@ TEST(KnnIndexStore, SearchAnswersWithAndWithoutTree) {
   // answer on both and agree slot for slot, distances included.
   const auto train = make_duplicate_data(300, 4, 40, 115);
   KnnIndexConfig tree;
-  tree.min_rows = 1;
   tree.leaf_size = 8;
   KnnIndexConfig scan = tree;
   scan.mode = KnnIndexMode::kNone;
@@ -255,6 +287,10 @@ TEST(KnnIndexStore, SearchAnswersWithAndWithoutTree) {
   ASSERT_FALSE(scanned.ready());
   EXPECT_EQ(scanned.rows(), 300U);
   EXPECT_EQ(scanned.dim(), 4U);
+  // Both store each distinct row once, tree or not.
+  EXPECT_EQ(scanned.stats().rows, 300U);
+  EXPECT_LE(scanned.stats().unique_rows, 40U);
+  EXPECT_EQ(scanned.stats().unique_rows, indexed.stats().unique_rows);
 
   const auto queries = make_random_data(30, 4, 116);
   std::vector<std::size_t> idx_a, idx_b;
@@ -268,14 +304,72 @@ TEST(KnnIndexStore, SearchAnswersWithAndWithoutTree) {
   }
 }
 
+TEST(KnnIndexStore, NeighborsMatchBruteForceOverTheOriginalRows) {
+  // Every path reads row i through its stored point; the reference here
+  // reads the caller's matrix. Shapes: duplicate-heavy rows, rows that
+  // differ only by the sign of a zero (byte-distinct, value-equal), NaN
+  // rows (which also turn the tree off) and the p = 1 Minkowski scan.
+  auto train = make_integer_duplicate_data(600, 6, 40, 131);
+  for (std::size_t i = 0; i < 600; i += 3) {
+    for (std::size_t d = 0; d < 6; ++d) {
+      if (train.x.row(i)[d] == 0.0F) train.x.row(i)[d] = -0.0F;
+    }
+  }
+  auto with_nan = train;
+  for (const std::size_t i : {5U, 77U, 78U}) {
+    with_nan.x.row(i)[2] = std::numeric_limits<float>::quiet_NaN();
+  }
+  const auto queries = make_integer_duplicate_data(30, 6, 40, 131);
+  const auto strangers = make_integer_duplicate_data(30, 6, 30, 132);
+
+  struct Case {
+    const char* name;
+    const RandomData* data;
+    KnnConfig config;
+    bool tree;
+  };
+  KnnConfig scan = tree_config(7);
+  scan.index.mode = KnnIndexMode::kNone;
+  KnnConfig manhattan = tree_config(7);
+  manhattan.minkowski_p = 1.0;
+  const Case cases[] = {
+      {"tree", &train, tree_config(7), true},
+      {"scan", &train, scan, false},
+      {"nan rows", &with_nan, tree_config(7), false},
+      {"p = 1", &train, manhattan, false},
+  };
+  for (const Case& c : cases) {
+    KnnClassifier knn(c.config);
+    knn.fit(c.data->x.view(), c.data->y);
+    EXPECT_EQ(knn.index().ready(), c.tree) << c.name;
+    EXPECT_LE(knn.index().stats().unique_rows, 80U) << c.name;
+    for (const RandomData* q : {&queries, &strangers}) {
+      for (std::size_t i = 0; i < q->x.rows(); ++i) {
+        const auto query = q->x.view().row(i);
+        const auto expected =
+            brute_force_top_k(c.data->x, query, c.config.k, c.config.minkowski_p);
+        EXPECT_EQ(knn.kneighbors(query), expected) << c.name << ", query " << i;
+        EXPECT_EQ(knn.kneighbors_scalar(query), expected) << c.name << ", query " << i;
+      }
+    }
+  }
+}
+
+TEST(KnnIndexStore, RejectsRowCountPastThirtyTwoBits) {
+  // Row ids, point ids and group offsets are 32-bit; a larger set must
+  // be refused before any row is read.
+  const std::vector<float> one{1.0F};
+  const FeatureView huge{one.data(), std::size_t{1} << 32, 1};
+  KnnIndex index;
+  EXPECT_THROW(index.build(huge, {}), std::length_error);
+}
+
 TEST(KnnIndexStore, EmptyRequestsRankNothing) {
   // k == 0 and an empty store both answer with no slots rather than
   // ranking into a zero-length buffer.
   const auto train = make_random_data(50, 2, 117);
-  KnnIndexConfig config;
-  config.min_rows = 1;
   KnnIndex index;
-  index.build(train.x.view(), config);
+  index.build(train.x.view(), {});
   std::vector<std::size_t> idx{1, 2};
   std::vector<double> dist{1.0, 2.0};
   index.search(train.x.view().row(0), 0, 2.0, idx, dist);

@@ -452,6 +452,45 @@ TEST(Knn, SaveLoadRoundTrip) {
   EXPECT_EQ(loaded.predict(test.x.view()), knn.predict(test.x.view()));
 }
 
+TEST(Knn, SaveStoresEachDistinctRowOnce) {
+  // 1,000 rows over 10 distinct points: a file carries the 10 points and
+  // a 4-byte id per row, not 1,000 rows of floats, and reloads to the
+  // same predictions.
+  constexpr std::size_t kRows = 1000, kDims = 32, kDistinct = 10;
+  const Blobs pool = make_blobs(kDistinct, kDims, 4, 0.5, 61);
+  FeatureMatrix x(kRows, kDims);
+  std::vector<Label> y(kRows);
+  std::vector<double> targets(kRows);
+  for (std::size_t i = 0; i < kRows; ++i) {
+    const std::size_t pick = (i * 7) % kDistinct;
+    std::copy_n(pool.x.row(pick).data(), kDims, x.row(i));
+    y[i] = pool.y[pick];
+    targets[i] = static_cast<double>(pick);
+  }
+  const std::size_t all_rows_bytes = kRows * kDims * sizeof(float);
+  const Blobs queries = make_blobs(50, kDims, 4, 0.5, 62);
+
+  KnnClassifier knn;
+  knn.fit(x.view(), y);
+  std::stringstream knn_file;
+  ASSERT_TRUE(knn.save(knn_file));
+  EXPECT_LT(knn_file.str().size(), all_rows_bytes / 5);
+  KnnClassifier knn_loaded;
+  ASSERT_TRUE(knn_loaded.load(knn_file));
+  EXPECT_EQ(knn_loaded.index().stats().unique_rows, kDistinct);
+  EXPECT_EQ(knn_loaded.predict(queries.x.view()), knn.predict(queries.x.view()));
+
+  KnnRegressor reg;
+  reg.fit(x.view(), targets);
+  std::stringstream reg_file;
+  ASSERT_TRUE(reg.save(reg_file));
+  EXPECT_LT(reg_file.str().size(), all_rows_bytes / 5);
+  KnnRegressor reg_loaded;
+  ASSERT_TRUE(reg_loaded.load(reg_file));
+  EXPECT_EQ(reg_loaded.index().stats().unique_rows, kDistinct);
+  EXPECT_EQ(reg_loaded.predict(queries.x.view()), reg.predict(queries.x.view()));
+}
+
 TEST(Knn, LoadRejectsGarbage) {
   std::stringstream stream("not a model");
   KnnClassifier knn;
@@ -639,40 +678,54 @@ TEST(ModelFiles, BitFlippedMagicRejected) {
 // the one poisoned field under test. Every rejected stream must leave
 // the model unfitted (no half-loaded state).
 
+/// The neighbor store as KnnIndex::save writes it: dim, the distinct
+/// points, then one point id per training row.
+void write_store(std::ostream& out, std::uint64_t dim, const std::vector<float>& points,
+                 const std::vector<std::uint32_t>& ids) {
+  io::write_pod(out, dim);
+  io::write_vec(out, points);
+  io::write_vec(out, ids);
+}
+
 std::string craft_knn_classifier(std::uint64_t k, double p, std::uint64_t dim,
-                                 std::uint64_t n_classes, const std::vector<float>& data,
+                                 std::uint64_t n_classes, const std::vector<float>& points,
+                                 const std::vector<std::uint32_t>& ids,
                                  const std::vector<Label>& labels) {
   std::stringstream out;
   io::write_header(out, io::kKindKnn);
   io::write_pod(out, k);
   io::write_pod(out, p);
-  io::write_pod(out, dim);
   io::write_pod(out, n_classes);
-  io::write_vec(out, data);
+  write_store(out, dim, points, ids);
   io::write_vec(out, labels);
   return out.str();
 }
 
 std::string craft_knn_regressor(std::uint64_t k, std::uint8_t weighted, std::uint64_t dim,
-                                const std::vector<float>& data,
+                                const std::vector<float>& points,
+                                const std::vector<std::uint32_t>& ids,
                                 const std::vector<double>& targets) {
   std::stringstream out;
   io::write_header(out, io::kKindKnnRegressor);
   io::write_pod(out, k);
   io::write_pod(out, weighted);
-  io::write_pod(out, dim);
-  io::write_vec(out, data);
+  write_store(out, dim, points, ids);
   io::write_vec(out, targets);
   return out.str();
 }
+
+/// The two one-dimensional points 0 and 1, one row each.
+const std::vector<float> kTwoPoints{0.0F, 1.0F};
+const std::vector<std::uint32_t> kTwoIds{0, 1};
 
 TEST(ModelHardening, CraftedClassifierStreamMatchesSaveFormat) {
   // Canary: if the crafting helper drifts from the real on-disk layout,
   // every rejection test below would pass vacuously. A fully valid
   // crafted stream must load and predict.
-  const std::vector<float> data{0.0F, 0.0F, 1.0F, 1.0F};
+  const std::vector<float> points{0.0F, 0.0F, 1.0F, 1.0F};
+  const std::vector<std::uint32_t> ids{0, 1};
   const std::vector<Label> labels{0, 1};
-  std::stringstream in(craft_knn_classifier(1, 2.0, 2, 2, data, labels));
+  std::stringstream in(craft_knn_classifier(1, 2.0, 2, 2, points, ids, labels));
   KnnClassifier knn;
   ASSERT_TRUE(knn.load(in));
   EXPECT_EQ(knn.train_size(), 2U);
@@ -684,77 +737,127 @@ TEST(ModelHardening, CraftedClassifierStreamMatchesSaveFormat) {
 TEST(ModelHardening, ClassifierRejectsKZero) {
   // The ctor clamps k == 0 but load() bypasses the ctor; an accepted
   // k == 0 builds an empty TopK whose dist_.back() is UB.
-  const std::vector<float> data{0.0F, 1.0F};
   const std::vector<Label> labels{0, 1};
-  std::stringstream in(craft_knn_classifier(0, 2.0, 1, 2, data, labels));
+  std::stringstream in(craft_knn_classifier(0, 2.0, 1, 2, kTwoPoints, kTwoIds, labels));
   KnnClassifier knn;
   EXPECT_FALSE(knn.load(in));
   EXPECT_FALSE(knn.is_fitted());
 }
 
 TEST(ModelHardening, ClassifierRejectsNegativeLabel) {
-  const std::vector<float> data{0.0F, 1.0F};
   const std::vector<Label> labels{0, -1};  // OOB write in vote()
-  std::stringstream in(craft_knn_classifier(1, 2.0, 1, 2, data, labels));
+  std::stringstream in(craft_knn_classifier(1, 2.0, 1, 2, kTwoPoints, kTwoIds, labels));
   KnnClassifier knn;
   EXPECT_FALSE(knn.load(in));
   EXPECT_FALSE(knn.is_fitted());
 }
 
 TEST(ModelHardening, ClassifierRejectsLabelBeyondNClasses) {
-  const std::vector<float> data{0.0F, 1.0F};
   const std::vector<Label> labels{0, 2};  // == n_classes → votes[2] OOB
-  std::stringstream in(craft_knn_classifier(1, 2.0, 1, 2, data, labels));
+  std::stringstream in(craft_knn_classifier(1, 2.0, 1, 2, kTwoPoints, kTwoIds, labels));
   KnnClassifier knn;
   EXPECT_FALSE(knn.load(in));
   EXPECT_FALSE(knn.is_fitted());
 }
 
 TEST(ModelHardening, ClassifierRejectsBadMinkowskiP) {
-  const std::vector<float> data{0.0F, 1.0F};
   const std::vector<Label> labels{0, 1};
   for (const double p : {std::numeric_limits<double>::quiet_NaN(),
                          std::numeric_limits<double>::infinity(), 0.5, -2.0, 0.0}) {
-    std::stringstream in(craft_knn_classifier(1, p, 1, 2, data, labels));
+    std::stringstream in(craft_knn_classifier(1, p, 1, 2, kTwoPoints, kTwoIds, labels));
     KnnClassifier knn;
     EXPECT_FALSE(knn.load(in)) << "p = " << p;
   }
 }
 
 TEST(ModelHardening, ClassifierRejectsZeroClassesAndHugeFields) {
-  const std::vector<float> data{0.0F, 1.0F};
   const std::vector<Label> labels{0, 1};
   {
-    std::stringstream in(craft_knn_classifier(1, 2.0, 1, 0, data, labels));
+    std::stringstream in(craft_knn_classifier(1, 2.0, 1, 0, kTwoPoints, kTwoIds, labels));
     KnnClassifier knn;
     EXPECT_FALSE(knn.load(in)) << "n_classes == 0";
   }
   {
     // A giant n_classes would make vote() allocate a counter per class.
-    std::stringstream in(craft_knn_classifier(1, 2.0, 1, 1ULL << 40, data, labels));
+    std::stringstream in(
+        craft_knn_classifier(1, 2.0, 1, 1ULL << 40, kTwoPoints, kTwoIds, labels));
     KnnClassifier knn;
     EXPECT_FALSE(knn.load(in)) << "n_classes == 2^40";
   }
-  {
-    // A giant dim fails the rows * dim == data check only modulo 2^64;
-    // the explicit cap rejects it before any arithmetic can wrap.
-    std::stringstream in(craft_knn_classifier(1, 2.0, 1ULL << 40, 2, data, labels));
+  for (const std::uint64_t dim : {std::uint64_t{0}, std::uint64_t{1} << 40}) {
+    // dim 0 would divide the point block by zero; a giant dim would size
+    // every later row arithmetic. Both are refused before either use.
+    std::stringstream in(craft_knn_classifier(1, 2.0, dim, 2, kTwoPoints, kTwoIds, labels));
     KnnClassifier knn;
-    EXPECT_FALSE(knn.load(in)) << "dim == 2^40";
+    EXPECT_FALSE(knn.load(in)) << "dim == " << dim;
   }
 }
 
 TEST(ModelHardening, ClassifierRejectsEmptyTrainingSet) {
-  std::stringstream in(craft_knn_classifier(1, 2.0, 1, 2, {}, {}));
+  std::stringstream in(craft_knn_classifier(1, 2.0, 1, 2, {}, {}, {}));
   KnnClassifier knn;
   EXPECT_FALSE(knn.load(in));
   EXPECT_FALSE(knn.is_fitted());
 }
 
+TEST(ModelHardening, RejectsPointIdPastPointCount) {
+  // A row naming a point the file does not store would read past the
+  // point block on every scan.
+  const std::vector<std::uint32_t> ids{0, 2};
+  {
+    std::stringstream in(craft_knn_classifier(1, 2.0, 1, 2, kTwoPoints, ids, {0, 1}));
+    KnnClassifier knn;
+    EXPECT_FALSE(knn.load(in));
+    EXPECT_FALSE(knn.is_fitted());
+  }
+  {
+    std::stringstream in(craft_knn_regressor(1, 0, 1, kTwoPoints, ids, {10.0, 20.0}));
+    KnnRegressor reg;
+    EXPECT_FALSE(reg.load(in));
+    EXPECT_FALSE(reg.is_fitted());
+  }
+}
+
+TEST(ModelHardening, RejectsPointBlockOfPartialRows) {
+  // Three floats at dim 2: the last point would be half outside the
+  // block.
+  const std::vector<float> points{0.0F, 0.0F, 1.0F};
+  const std::vector<std::uint32_t> ids{0, 0};
+  {
+    std::stringstream in(craft_knn_classifier(1, 2.0, 2, 2, points, ids, {0, 1}));
+    KnnClassifier knn;
+    EXPECT_FALSE(knn.load(in));
+    EXPECT_FALSE(knn.is_fitted());
+  }
+  {
+    std::stringstream in(craft_knn_regressor(1, 0, 2, points, ids, {10.0, 20.0}));
+    KnnRegressor reg;
+    EXPECT_FALSE(reg.load(in));
+    EXPECT_FALSE(reg.is_fitted());
+  }
+}
+
+TEST(ModelHardening, RejectsIdCountOtherThanLabelCount) {
+  // vote() and the mean index labels/targets by row id, so every row
+  // needs exactly one.
+  const std::vector<std::uint32_t> three_ids{0, 1, 1};
+  {
+    std::stringstream in(craft_knn_classifier(1, 2.0, 1, 2, kTwoPoints, three_ids, {0, 1}));
+    KnnClassifier knn;
+    EXPECT_FALSE(knn.load(in));
+    EXPECT_FALSE(knn.is_fitted());
+  }
+  {
+    std::stringstream in(craft_knn_regressor(1, 0, 1, kTwoPoints, three_ids, {10.0, 20.0}));
+    KnnRegressor reg;
+    EXPECT_FALSE(reg.load(in));
+    EXPECT_FALSE(reg.is_fitted());
+  }
+}
+
 TEST(ModelHardening, RegressorCraftedStreamMatchesSaveFormat) {
-  const std::vector<float> data{0.0F, 1.0F};
   const std::vector<double> targets{10.0, 20.0};
-  std::stringstream in(craft_knn_regressor(1, 0, 1, data, targets));
+  std::stringstream in(craft_knn_regressor(1, 0, 1, kTwoPoints, kTwoIds, targets));
   KnnRegressor reg;
   ASSERT_TRUE(reg.load(in));
   const std::vector<float> query{0.1F};
@@ -764,9 +867,8 @@ TEST(ModelHardening, RegressorCraftedStreamMatchesSaveFormat) {
 TEST(ModelHardening, RegressorRejectsKZero) {
   // k == 0 in the regressor is both the empty-TopK UB and a division by
   // zero in the unweighted average.
-  const std::vector<float> data{0.0F, 1.0F};
   const std::vector<double> targets{10.0, 20.0};
-  std::stringstream in(craft_knn_regressor(0, 0, 1, data, targets));
+  std::stringstream in(craft_knn_regressor(0, 0, 1, kTwoPoints, kTwoIds, targets));
   KnnRegressor reg;
   EXPECT_FALSE(reg.load(in));
   EXPECT_FALSE(reg.is_fitted());
@@ -775,9 +877,8 @@ TEST(ModelHardening, RegressorRejectsKZero) {
 TEST(ModelHardening, RegressorRejectsNonCanonicalBoolByte) {
   // The weighted flag is (de)serialized as uint8_t precisely so load can
   // reject bytes other than 0/1 instead of loading them into a bool (UB).
-  const std::vector<float> data{0.0F, 1.0F};
   const std::vector<double> targets{10.0, 20.0};
-  std::stringstream in(craft_knn_regressor(1, 2, 1, data, targets));
+  std::stringstream in(craft_knn_regressor(1, 2, 1, kTwoPoints, kTwoIds, targets));
   KnnRegressor reg;
   EXPECT_FALSE(reg.load(in));
 }
@@ -786,10 +887,11 @@ TEST(ModelHardening, KindTagsAreExclusive) {
   // KnnRegressor used to keep a private kind tag of 4, the tag of the
   // since-retired standalone flat-forest format, so two loaders would
   // both start parsing one payload. Every loader now rejects the others'
-  // streams at the header, and nothing accepts a retired tag.
-  const std::vector<float> data{0.0F, 1.0F};
+  // streams at the header, and nothing accepts a retired tag: 1 and 5
+  // are the KNN files that stored every training row, whose payload
+  // would otherwise be misread as a point store.
   const std::vector<double> targets{10.0, 20.0};
-  const std::string reg_bytes = craft_knn_regressor(1, 0, 1, data, targets);
+  const std::string reg_bytes = craft_knn_regressor(1, 0, 1, kTwoPoints, kTwoIds, targets);
   {
     std::stringstream in(reg_bytes);
     KnnClassifier knn;
@@ -800,28 +902,58 @@ TEST(ModelHardening, KindTagsAreExclusive) {
     RandomForestClassifier forest;
     EXPECT_FALSE(forest.load(in));
   }
-  for (const std::uint32_t retired : {4U, 6U}) {
-    std::string bytes = reg_bytes;
-    std::memcpy(bytes.data() + 2 * sizeof(std::uint32_t), &retired, sizeof(retired));
+  // The all-rows files tags 1 and 5 named, laid out as they were saved.
+  std::stringstream all_rows_knn, all_rows_reg;
+  io::write_header(all_rows_knn, 1);
+  io::write_pod(all_rows_knn, std::uint64_t{1});
+  io::write_pod(all_rows_knn, 2.0);
+  io::write_pod(all_rows_knn, std::uint64_t{1});
+  io::write_pod(all_rows_knn, std::uint64_t{2});
+  io::write_vec(all_rows_knn, kTwoPoints);
+  io::write_vec(all_rows_knn, std::vector<Label>{0, 1});
+  io::write_header(all_rows_reg, 5);
+  io::write_pod(all_rows_reg, std::uint64_t{1});
+  io::write_pod(all_rows_reg, std::uint8_t{0});
+  io::write_pod(all_rows_reg, std::uint64_t{1});
+  io::write_vec(all_rows_reg, kTwoPoints);
+  io::write_vec(all_rows_reg, targets);
+  const std::string knn_bytes =
+      craft_knn_classifier(1, 2.0, 1, 2, kTwoPoints, kTwoIds, {0, 1});
+  for (const std::string& bytes : {all_rows_knn.str(), all_rows_reg.str()}) {
     std::stringstream as_reg(bytes), as_knn(bytes), as_forest(bytes);
     KnnRegressor reg;
     KnnClassifier knn;
     RandomForestClassifier forest;
-    EXPECT_FALSE(reg.load(as_reg)) << "kind " << retired;
-    EXPECT_FALSE(knn.load(as_knn)) << "kind " << retired;
-    EXPECT_FALSE(forest.load(as_forest)) << "kind " << retired;
+    EXPECT_FALSE(reg.load(as_reg));
+    EXPECT_FALSE(knn.load(as_knn));
+    EXPECT_FALSE(forest.load(as_forest));
+  }
+  for (const std::uint32_t retired : {1U, 4U, 5U, 6U}) {
+    for (const std::string& payload : {reg_bytes, knn_bytes}) {
+      std::string bytes = payload;
+      std::memcpy(bytes.data() + 2 * sizeof(std::uint32_t), &retired, sizeof(retired));
+      std::stringstream as_reg(bytes), as_knn(bytes), as_forest(bytes);
+      KnnRegressor reg;
+      KnnClassifier knn;
+      RandomForestClassifier forest;
+      EXPECT_FALSE(reg.load(as_reg)) << "kind " << retired;
+      EXPECT_FALSE(knn.load(as_knn)) << "kind " << retired;
+      EXPECT_FALSE(forest.load(as_forest)) << "kind " << retired;
+    }
   }
 }
 
 TEST(ModelHardening, RegressorTruncatedStreamsFailCleanly) {
-  std::vector<float> data(64);
+  std::vector<float> points(64);
+  std::vector<std::uint32_t> ids(32);
   std::vector<double> targets(32);
   for (std::size_t i = 0; i < 32; ++i) {
-    data[2 * i] = static_cast<float>(i);
-    data[2 * i + 1] = static_cast<float>(i) * 0.5F;
+    points[2 * i] = static_cast<float>(i);
+    points[2 * i + 1] = static_cast<float>(i) * 0.5F;
+    ids[i] = static_cast<std::uint32_t>(i);
     targets[i] = static_cast<double>(i);
   }
-  const std::string bytes = craft_knn_regressor(3, 1, 2, data, targets);
+  const std::string bytes = craft_knn_regressor(3, 1, 2, points, ids, targets);
   for (std::size_t cut = 0; cut < bytes.size(); cut += 7) {
     std::stringstream in(bytes.substr(0, cut));
     KnnRegressor reg;

@@ -993,30 +993,11 @@ TEST_F(ApiTest, ModelInfoListsFeatures) {
 }
 
 TEST_F(ApiTest, ModelInfoReportsKnnIndexState) {
-  // 60 training rows sit below the index's min_rows threshold, so this
-  // deployment serves through the scan: the knn_index object must say
-  // so rather than disappear.
+  // Every fitted KNN model reports its store: this deployment's 60
+  // training rows get the bounding-box tree over their distinct rows.
   ASSERT_EQ(call("POST", "/train", "{\"now\": " + std::to_string(last_end_ + 10) + "}").status,
             201);
-  const auto scan_info = Json::parse(call("GET", "/model/info").body);
-  ASSERT_TRUE(scan_info->contains("knn_index"));
-  EXPECT_EQ((*scan_info)["knn_index"]["mode"].as_string(), "none");
-
-  // Lowering min_rows (the knn_index_min_rows config knob) flips the
-  // same deployment to the bounding-box tree, and the stats follow.
-  FrameworkConfig indexed_config = config_;
-  indexed_config.knn.index.min_rows = 1;
-  Framework indexed_framework(indexed_config, store_);
-  ApiServer indexed_api(indexed_framework);
-  HttpRequest train;
-  train.method = "POST";
-  train.path = "/train";
-  train.body = "{\"now\": " + std::to_string(last_end_ + 10) + "}";
-  ASSERT_EQ(indexed_api.dispatch(train).status, 201);
-  HttpRequest info;
-  info.method = "GET";
-  info.path = "/model/info";
-  const auto tree_info = Json::parse(indexed_api.dispatch(info).body);
+  const auto tree_info = Json::parse(call("GET", "/model/info").body);
   ASSERT_TRUE(tree_info->contains("knn_index"));
   EXPECT_EQ((*tree_info)["knn_index"]["mode"].as_string(), "tree");
   EXPECT_EQ((*tree_info)["knn_index"]["rows"].as_int(), 60);
@@ -1028,9 +1009,28 @@ TEST_F(ApiTest, ModelInfoReportsKnnIndexState) {
   metrics.method = "GET";
   metrics.path = "/metrics";
   metrics.query = "format=prometheus";
-  const std::string exposition = indexed_api.dispatch(metrics).body;
+  const std::string exposition = api_->dispatch(metrics).body;
   EXPECT_NE(exposition.find("mcb_knn_index_info{mode=\"tree\""), std::string::npos);
   EXPECT_NE(exposition.find("mcb_knn_index_rows{kind=\"unique\"}"), std::string::npos);
+
+  // A scan-only deployment (mode none) still reports the store's rows.
+  FrameworkConfig scan_config = config_;
+  scan_config.knn.index.mode = KnnIndexMode::kNone;
+  Framework scan_framework(scan_config, store_);
+  ApiServer scan_api(scan_framework);
+  HttpRequest train;
+  train.method = "POST";
+  train.path = "/train";
+  train.body = "{\"now\": " + std::to_string(last_end_ + 10) + "}";
+  ASSERT_EQ(scan_api.dispatch(train).status, 201);
+  HttpRequest info;
+  info.method = "GET";
+  info.path = "/model/info";
+  const auto scan_info = Json::parse(scan_api.dispatch(info).body);
+  EXPECT_EQ((*scan_info)["knn_index"]["mode"].as_string(), "none");
+  EXPECT_EQ((*scan_info)["knn_index"]["rows"].as_int(), 60);
+  EXPECT_EQ((*scan_info)["knn_index"]["unique_rows"].as_int(),
+            (*tree_info)["knn_index"]["unique_rows"].as_int());
 }
 
 TEST_F(ApiTest, EncodeEndpointReturnsNormalizedEmbedding) {
