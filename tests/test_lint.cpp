@@ -1,15 +1,17 @@
 // Tests for the mcbound_lint analyzer library (tools/lint/): the
-// lexical front-end, the hot-path pass, rule R8's comment/string
-// separation, suppression parsing, the function index / call graph and
-// the whole-program rules R18–R21, the report back-ends (text chains,
-// SARIF codeFlows golden, markdown catalog), and whole-tree runs over
-// the deliberately-broken trees in tests/lint_fixtures/ (layering
-// violations, an include cycle, suppression and baseline round-trips,
-// hot/reactor chains, a lock-order inversion, a discarded status).
+// lexical front-end, the token rules (a firing case and a near miss
+// each), the hot-path walk, suppression parsing, the function index /
+// call graph and the whole-program rules R18–R21, the report back-ends
+// (text chains, SARIF codeFlows golden, markdown catalog), and
+// whole-tree runs over the deliberately-broken trees in
+// tests/lint_fixtures/ (layering violations, an include cycle, a
+// suppression round-trip, hot/reactor chains, a root called by a root,
+// a lock-order inversion, a discarded status).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -18,11 +20,12 @@
 #include "lint/diagnostics.hpp"
 #include "lint/driver.hpp"
 #include "lint/function_index.hpp"
-#include "lint/hot_path.hpp"
+#include "lint/graph_rules.hpp"
 #include "lint/include_graph.hpp"
 #include "lint/report.hpp"
 #include "lint/source_view.hpp"
 #include "lint/text_rules.hpp"
+#include "util/json.hpp"
 
 namespace mcb::lint {
 namespace {
@@ -40,12 +43,10 @@ bool any_message_contains(const std::vector<Violation>& violations, std::string_
   });
 }
 
-LintResult lint_fixture(const std::string& name, const std::string& baseline = "") {
+LintResult lint_fixture(const std::string& name) {
   LintOptions options;
   options.root = std::string(MCB_LINT_FIXTURE_DIR) + "/" + name;
-  options.compiler = "";  // fixtures are not self-contained-compile targets
   options.layers_file = "layers.txt";
-  options.baseline_file = baseline;
   return run_lint(options);
 }
 
@@ -103,6 +104,39 @@ TEST(LineIndex, PositionToLine) {
   EXPECT_EQ(lines.line_of(4), 2u);
   EXPECT_EQ(lines.line_of(8), 3u);
   EXPECT_EQ(lines.line(text, 2), "two");
+}
+
+// ------------------------------------------------- R1, R3, R6, R7, R9
+
+TEST(TextRules, EachRuleFiresOnItsConstructAndNotOnANearMiss) {
+  struct Case {
+    const char* rule;
+    void (*check)(const FileContext&, std::vector<Violation>&);
+    const char* fires;
+    const char* near_miss;
+  };
+  const Case cases[] = {
+      {"R1", check_no_wallclock_or_libc_rand, "int r = rand();\n",
+       "auto t = std::chrono::steady_clock::now();\n"},
+      {"R3", check_no_swallowing_catch_all, "try { step(); } catch (...) {}\n",
+       "try { step(); } catch (...) { throw; }\n"},
+      {"R6", check_no_raw_std_sync, "std::mutex mu;\n", "mcb::Mutex mu;\n"},
+      {"R7", check_no_thread_detach, "t.detach();\n", "detach(t);\n"},
+      {"R9", check_no_direct_stream_writes, "std::cerr << x;\n",
+       "auto s = \"std::cerr << x\";\n"},
+  };
+  for (const Case& c : cases) {
+    const FileContext fires("src/x/a.cpp", scan_source(c.fires));
+    std::vector<Violation> out;
+    c.check(fires, out);
+    EXPECT_EQ(count_rule(out, c.rule), 1u) << c.rule << ": " << c.fires;
+    EXPECT_EQ(out.size(), count_rule(out, c.rule)) << c.rule;
+
+    const FileContext near_miss("src/x/a.cpp", scan_source(c.near_miss));
+    out.clear();
+    c.check(near_miss, out);
+    EXPECT_TRUE(out.empty()) << c.rule << ": " << c.near_miss;
+  }
 }
 
 // --------------------------------------------------------- R8 regression
@@ -180,6 +214,19 @@ TEST(TextRules, SyscallInStringOrCommentIsInert) {
 
 // ------------------------------------------------------------- hot paths
 
+// The hot-path walk over one file, as the driver runs it: index the file
+// (R16 for a detached marker), widen signature suppressions, then walk
+// from every MCB_HOT_PATH root. Returns the number of roots.
+std::size_t walk_hot_paths(FileContext& ctx, std::vector<Violation>& out) {
+  FunctionIndex index;
+  index.add_file(ctx, 0, out);
+  for (const FunctionDef& def : index.defs) widen_signature_suppressions(def, ctx);
+  check_transitive_hot({&ctx}, CallGraph(index), out);
+  return static_cast<std::size_t>(
+      std::count_if(index.defs.begin(), index.defs.end(),
+                    [](const FunctionDef& def) { return def.hot_path; }));
+}
+
 TEST(HotPath, AllocationThrowAndLockAreFlagged) {
   FileContext ctx("src/x/hot.cpp",
                   scan_source("MCB_HOT_PATH void f(int n) {\n"
@@ -189,7 +236,7 @@ TEST(HotPath, AllocationThrowAndLockAreFlagged) {
                               "  (void)p;\n"
                               "}\n"));
   std::vector<Violation> out;
-  EXPECT_EQ(check_hot_paths(ctx, out), 1u);
+  EXPECT_EQ(walk_hot_paths(ctx, out), 1u);
   EXPECT_EQ(count_rule(out, "R10"), 1u);
   EXPECT_EQ(count_rule(out, "R11"), 1u);
   EXPECT_EQ(count_rule(out, "R12"), 1u);
@@ -202,7 +249,7 @@ TEST(HotPath, MemberGrowthCallsFlaggedBareWordsNot) {
                               "  push_back(x);\n"  // free function: not container growth
                               "}\n"));
   std::vector<Violation> out;
-  check_hot_paths(ctx, out);
+  walk_hot_paths(ctx, out);
   EXPECT_EQ(count_rule(out, "R10"), 1u);
 }
 
@@ -210,7 +257,7 @@ TEST(HotPath, UnannotatedFunctionIsNotChecked) {
   FileContext ctx("src/x/cold.cpp",
                   scan_source("void f() { auto* p = new int(1); (void)p; }\n"));
   std::vector<Violation> out;
-  EXPECT_EQ(check_hot_paths(ctx, out), 0u);
+  EXPECT_EQ(walk_hot_paths(ctx, out), 0u);
   EXPECT_TRUE(out.empty());
 }
 
@@ -222,14 +269,14 @@ TEST(HotPath, CtorInitListBracesDoNotEndTheSearch) {
                               "  (void)p;\n"
                               "}\n"));
   std::vector<Violation> out;
-  EXPECT_EQ(check_hot_paths(ctx, out), 1u);
+  EXPECT_EQ(walk_hot_paths(ctx, out), 1u);
   EXPECT_EQ(count_rule(out, "R10"), 1u);
 }
 
 TEST(HotPath, MarkerOnDeclarationIsR16) {
   FileContext ctx("src/x/hot.hpp", scan_source("MCB_HOT_PATH void f(int n);\n"));
   std::vector<Violation> out;
-  EXPECT_EQ(check_hot_paths(ctx, out), 0u);
+  EXPECT_EQ(walk_hot_paths(ctx, out), 0u);
   ASSERT_EQ(count_rule(out, "R16"), 1u);
 }
 
@@ -243,7 +290,7 @@ TEST(HotPath, SignatureSuppressionWidensToWholeBody) {
                               "  v.push_back(1);\n"
                               "}\n"));
   std::vector<Violation> out;
-  check_hot_paths(ctx, out);
+  walk_hot_paths(ctx, out);
   ASSERT_EQ(ctx.suppressions.size(), 1u);
   const Suppression& s = ctx.suppressions[0];
   EXPECT_EQ(s.scope_begin, 1u);
@@ -282,20 +329,6 @@ TEST(Suppression, QuotedSuppressionTextInCodeIsInert) {
   const SourceView view =
       scan_source("auto s = \"// mcb-lint: suppress(R2: inside a string)\";\n");
   EXPECT_TRUE(parse_suppressions(view).empty());
-}
-
-// -------------------------------------------------------------- baseline
-
-TEST(Baseline, ParsesEntriesAndMatches) {
-  const std::vector<BaselineEntry> entries =
-      parse_baseline("# comment\nsrc/a.cpp|R2|*\nsrc/b.cpp|R9|stream\nbroken line\n");
-  ASSERT_EQ(entries.size(), 3u);
-  EXPECT_FALSE(entries[0].malformed);
-  EXPECT_TRUE(baseline_matches(entries[0], {"src/a.cpp", 3, "R2", "anything", {}}));
-  EXPECT_FALSE(baseline_matches(entries[0], {"src/a.cpp", 3, "R9", "anything", {}}));
-  EXPECT_TRUE(baseline_matches(entries[1], {"src/b.cpp", 1, "R9", "direct stream write", {}}));
-  EXPECT_FALSE(baseline_matches(entries[1], {"src/b.cpp", 1, "R9", "no match", {}}));
-  EXPECT_TRUE(entries[2].malformed);
 }
 
 // ----------------------------------------------------------- module graph
@@ -349,19 +382,6 @@ TEST(Fixtures, SuppressionRoundTrip) {
   EXPECT_EQ(result.violations[0].file, "src/util/stale.cpp");
   EXPECT_NE(result.violations[0].message.find("unused"), std::string::npos);
   EXPECT_EQ(result.stats.suppressions_used, 1u);
-}
-
-TEST(Fixtures, BaselineAbsorbsAndStaleEntriesSurface) {
-  const LintResult result = lint_fixture("baselined", "baseline.txt");
-  ASSERT_FALSE(result.config_error) << result.config_message;
-  EXPECT_EQ(count_rule(result.violations, "R2"), 0u);  // grandfathered
-  ASSERT_EQ(count_rule(result.violations, "R15"), 1u);
-  EXPECT_TRUE(any_message_contains(result.violations, "R15", "stale baseline entry"));
-  EXPECT_EQ(result.stats.baselined, 1u);
-
-  // Without the baseline the naked new comes back.
-  const LintResult bare = lint_fixture("baselined");
-  EXPECT_EQ(count_rule(bare.violations, "R2"), 1u);
 }
 
 // ------------------------------------------------------- function index
@@ -514,6 +534,14 @@ TEST(Fixtures, TransitiveHotAllocationReportedWithChain) {
       any_message_contains(result.violations, "R18", "hot_root_with_boundary"));
 }
 
+TEST(Fixtures, HotRootCalledByAnotherRootReportsItsOwnBodyOnce) {
+  const LintResult result = lint_fixture("hot_root_calls_root");
+  ASSERT_FALSE(result.config_error) << result.config_message;
+  EXPECT_EQ(result.stats.hot_regions, 2u);
+  EXPECT_EQ(count_rule(result.violations, "R10"), 1u);
+  EXPECT_EQ(count_rule(result.violations, "R18"), 0u);
+}
+
 TEST(Fixtures, ReactorBlockingReportedAndBoundaryCuts) {
   const LintResult result = lint_fixture("reactor_block");
   ASSERT_EQ(count_rule(result.violations, "R19"), 1u);
@@ -623,6 +651,25 @@ TEST(Report, SarifMatchesGoldenSnapshot) {
   std::stringstream want;
   want << golden.rdbuf();
   EXPECT_EQ(sarif.str(), want.str());
+
+  // The output is valid JSON, and the chained R18 result's codeFlow
+  // carries every step of its chain.
+  std::string error;
+  const std::optional<mcb::Json> doc = mcb::Json::parse(sarif.str(), &error);
+  ASSERT_TRUE(doc.has_value()) << error;
+  const mcb::JsonArray& runs = (*doc)["runs"].as_array();
+  ASSERT_EQ(runs.size(), 1u);
+  bool saw_chain = false;
+  for (const mcb::Json& res : runs[0]["results"].as_array()) {
+    if (res["ruleId"].as_string() != "R18") continue;
+    const mcb::JsonArray& flows = res["codeFlows"].as_array();
+    ASSERT_EQ(flows.size(), 1u);
+    const mcb::JsonArray& threads = flows[0]["threadFlows"].as_array();
+    ASSERT_EQ(threads.size(), 1u);
+    EXPECT_EQ(threads[0]["locations"].size(), 4u);
+    saw_chain = true;
+  }
+  EXPECT_TRUE(saw_chain);
 }
 
 TEST(Report, MarkdownCatalogCoversEveryRuleWithAnchors) {
@@ -636,14 +683,16 @@ TEST(Report, MarkdownCatalogCoversEveryRuleWithAnchors) {
 }
 
 TEST(Fixtures, MissingManifestIsAConfigError) {
-  LintOptions options;
-  options.root = std::string(MCB_LINT_FIXTURE_DIR) + "/suppression";
-  options.compiler = "";
-  options.layers_file = "no_such_layers.txt";
-  options.baseline_file = "";
-  const LintResult result = run_lint(options);
-  EXPECT_TRUE(result.config_error);
-  EXPECT_NE(result.config_message.find("no_such_layers.txt"), std::string::npos);
+  // An empty path names no manifest: it must not turn R13 off.
+  for (const std::string layers : {"no_such_layers.txt", ""}) {
+    LintOptions options;
+    options.root = std::string(MCB_LINT_FIXTURE_DIR) + "/suppression";
+    options.layers_file = layers;
+    const LintResult result = run_lint(options);
+    EXPECT_TRUE(result.config_error) << "layers_file='" << layers << "'";
+    EXPECT_NE(result.config_message.find("layer manifest not found"), std::string::npos);
+    EXPECT_NE(result.config_message.find(layers), std::string::npos);
+  }
 }
 
 }  // namespace

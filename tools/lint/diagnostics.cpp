@@ -35,20 +35,6 @@ const std::vector<RuleInfo>& rule_catalog() {
        "Narrow the catch or surface the failure. A deliberate "
        "crash-shield at a thread boundary may be suppressed with a "
        "reason naming where the error is reported instead."},
-      {"R4", "every public header is self-contained",
-       "error",
-       "A header that only compiles when included after its siblings "
-       "breaks the next refactor. The analyzer compiles each public "
-       "header in isolation with the configured compiler.",
-       "// foo.hpp uses std::string but never includes <string>",
-       "Add the missing includes to the header itself. There is no "
-       "suppression: a header either stands alone or it does not."},
-      {"R5", "every header uses #pragma once",
-       "error",
-       "Mixed guard styles invite copy-paste guard collisions; the "
-       "toolchains this repo targets all honor #pragma once.",
-       "#ifndef MCB_FOO_HPP_ ... #endif  // classic guard",
-       "Replace the guard with #pragma once on the first line."},
       {"R6", "no raw std synchronization primitives outside util/sync",
        "error",
        "std::mutex carries no Clang thread-safety capability; the "
@@ -118,23 +104,23 @@ const std::vector<RuleInfo>& rule_catalog() {
        "architectural regression even when it compiles.",
        "#include \"serve/server.hpp\"  // from src/ml",
        "Invert the dependency (callback, interface in a lower layer) or "
-       "move the code. Transitional violations go in "
-       "tools/lint/baseline.txt, which must only shrink."},
+       "move the code. There is no suppression: one include site cannot "
+       "excuse a cross-file property."},
       {"R14", "no include cycles under src/",
        "error",
        "An include cycle means neither file can be understood, tested, "
        "or replaced alone; builds get order-dependent.",
        "a.hpp includes b.hpp includes a.hpp",
        "Break the cycle with a forward declaration or by extracting the "
-       "shared piece downward. Baseline-only, as for R13."},
-      {"R15", "suppressions and baseline entries must be well-formed and used",
+       "shared piece downward. No suppression, as for R13."},
+      {"R15", "suppressions must be well-formed and used",
        "error",
        "A suppression that no longer matches anything is a stale "
        "license to regress; a malformed one silently suppresses "
        "nothing. Hygiene violations keep the exception ledger honest.",
        "// mcb-lint comment with suppress(R10) and no reason",
-       "Delete stale suppressions and baseline lines; give every "
-       "remaining one a reason. There is no suppression for R15."},
+       "Delete stale suppressions; give every remaining one a reason. "
+       "There is no suppression for R15."},
       {"R16", "annotation markers attach to definitions, not declarations",
        "error",
        "MCB_HOT_PATH and the boundary markers assert facts about a "
@@ -191,8 +177,8 @@ const std::vector<RuleInfo>& rule_catalog() {
        "Pick one global order and restructure the second site (release "
        "before acquiring, or merge the critical sections). False "
        "cycles from same-named mutexes in unrelated classes do not "
-       "occur — capabilities are class-qualified; a genuinely "
-       "impossible interleaving goes in tools/lint/baseline.txt."},
+       "occur — capabilities are class-qualified. There is no "
+       "suppression: a cycle has no single excusable line."},
       {"R21", "bool/status results of repo functions must not be discarded",
        "error",
        "`model.load(path);` that quietly fails leaves the server "
@@ -288,53 +274,6 @@ std::vector<Suppression> parse_suppressions(const SourceView& view) {
     out.push_back(std::move(s));
   }
   return out;
-}
-
-std::vector<BaselineEntry> parse_baseline(std::string_view text) {
-  std::vector<BaselineEntry> out;
-  std::size_t line_no = 0;
-  std::size_t start = 0;
-  while (start <= text.size()) {
-    const std::size_t nl = text.find('\n', start);
-    const std::size_t end = nl == std::string_view::npos ? text.size() : nl;
-    std::string_view line = text.substr(start, end - start);
-    ++line_no;
-    if (nl == std::string_view::npos && line.empty()) break;
-    start = end + 1;
-    // Trim and skip blanks/comments.
-    while (!line.empty() && (line.front() == ' ' || line.front() == '\t')) {
-      line.remove_prefix(1);
-    }
-    while (!line.empty() &&
-           (line.back() == ' ' || line.back() == '\t' || line.back() == '\r')) {
-      line.remove_suffix(1);
-    }
-    if (line.empty() || line.front() == '#') continue;
-    BaselineEntry entry;
-    entry.line = line_no;
-    const std::size_t bar1 = line.find('|');
-    const std::size_t bar2 =
-        bar1 == std::string_view::npos ? std::string_view::npos : line.find('|', bar1 + 1);
-    if (bar2 == std::string_view::npos) {
-      entry.malformed = true;
-      out.push_back(std::move(entry));
-      continue;
-    }
-    entry.file.assign(line.substr(0, bar1));
-    entry.rule.assign(line.substr(bar1 + 1, bar2 - bar1 - 1));
-    entry.pattern.assign(line.substr(bar2 + 1));
-    if (entry.file.empty() || !known_rule(entry.rule) || entry.pattern.empty()) {
-      entry.malformed = true;
-    }
-    out.push_back(std::move(entry));
-  }
-  return out;
-}
-
-bool baseline_matches(const BaselineEntry& entry, const Violation& v) {
-  if (entry.malformed) return false;
-  if (entry.file != v.file || entry.rule != v.rule) return false;
-  return entry.pattern == "*" || v.message.find(entry.pattern) != std::string::npos;
 }
 
 }  // namespace mcb::lint

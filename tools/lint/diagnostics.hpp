@@ -1,7 +1,6 @@
 // Diagnostics layer of mcbound_lint (DESIGN.md §12): the violation
 // record every rule emits, the rule catalog (used by the SARIF
-// reporter), inline suppressions, and the committed baseline of
-// grandfathered findings.
+// reporter) and inline suppressions.
 #pragma once
 
 #include <cstddef>
@@ -52,16 +51,17 @@ bool known_rule(std::string_view rule);
 // colon, then `suppress(R<n>: <reason>)` — written apart here so this
 // very comment does not register as a suppression when the analyzer
 // scans its own sources. Scope is the comment's own line and the line below it; a
-// suppression written between an MCB_HOT_PATH annotation and the
-// function's opening brace covers the whole function body (the hot-path
-// pass widens it). The reason is mandatory — a suppression without one
-// is itself reported (R15), as is one that suppresses nothing.
+// suppression written between a marker (MCB_HOT_PATH, MCB_SIGNAL_HANDLER,
+// a boundary marker) and the function's opening brace covers the whole
+// function body (widen_signature_suppressions). The reason is mandatory
+// — a suppression without one is itself reported (R15), as is one that
+// suppresses nothing.
 struct Suppression {
   std::size_t line = 0;   ///< line the comment sits on
   std::string rule;
   std::string reason;
   bool malformed = false;
-  // Widened scope (inclusive line range) for hot-path body suppressions;
+  // Widened scope (inclusive line range) for marked-body suppressions;
   // 0/0 means the default two-line scope.
   std::size_t scope_begin = 0;
   std::size_t scope_end = 0;
@@ -71,26 +71,6 @@ struct Suppression {
 /// Parse every suppression comment in the file. Scans the comments view
 /// only, so quoted suppression text in code cannot suppress anything.
 std::vector<Suppression> parse_suppressions(const SourceView& view);
-
-// ---------------------------------------------------------------------
-// Baseline: a committed file of grandfathered findings, one per line:
-//   <path>|<rule>|<message substring or *>
-// '#' starts a comment. A violation matching an entry is dropped (an
-// entry may absorb any number of matches — grandfathering a pattern,
-// not a count). Entries that match nothing are reported (R15) so the
-// baseline can only shrink.
-struct BaselineEntry {
-  std::size_t line = 0;  ///< line in the baseline file
-  std::string file;
-  std::string rule;
-  std::string pattern;   ///< "*" or a message substring
-  bool malformed = false;
-  std::size_t hits = 0;
-};
-
-std::vector<BaselineEntry> parse_baseline(std::string_view text);
-
-bool baseline_matches(const BaselineEntry& entry, const Violation& v);
 
 // ---------------------------------------------------------------------
 // Per-file analysis context shared by all passes.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -12,7 +11,6 @@
 #include "lint/call_graph.hpp"
 #include "lint/function_index.hpp"
 #include "lint/graph_rules.hpp"
-#include "lint/hot_path.hpp"
 #include "lint/signal_safety.hpp"
 #include "lint/text_rules.hpp"
 
@@ -86,10 +84,9 @@ fs::path resolve(const fs::path& root, const std::string& maybe_relative) {
 
 bool inline_suppressible(std::string_view rule) {
   // Architecture rules (R13/R14) and the lock-order rule (R20, whose
-  // anchor line is one witness of a multi-site cycle) may only be
-  // grandfathered through the baseline — an inline comment at one site
-  // must not be able to excuse a cross-file property. R15 findings are
-  // terminal.
+  // anchor line is one witness of a multi-site cycle) are never
+  // excusable — an inline comment at one site must not be able to
+  // excuse a cross-file property. R15 findings are terminal.
   return rule.size() >= 2 && rule[0] == 'R' &&
          !(rule == "R13" || rule == "R14" || rule == "R15" || rule == "R20");
 }
@@ -160,7 +157,7 @@ LintResult run_lint(const LintOptions& options) {
   // --------------------------------------------------- per-file rules
   timed("per-file rules", [&] {
     for (const std::size_t id : src_context_ids) {
-      FileContext& ctx = contexts[id];
+      const FileContext& ctx = contexts[id];
       const fs::path& path = abs_paths[id];
       check_no_wallclock_or_libc_rand(ctx, raw);
       check_no_naked_new_delete(ctx, raw);
@@ -171,37 +168,15 @@ LintResult run_lint(const LintOptions& options) {
       if (!may_write_streams_directly(path)) check_no_direct_stream_writes(ctx, raw);
       if (must_confine_socket_syscalls(path)) check_reactor_syscall_confinement(ctx, raw);
       if (!may_own_signal_machinery(path)) check_signal_machinery_confinement(ctx, raw);
-      result.stats.hot_regions += check_hot_paths(ctx, raw);
-      result.stats.signal_handlers += check_signal_handlers(ctx, raw);
-      if (has_extension(path, ".hpp")) check_pragma_once(ctx, raw);
     }
     // Reduced rule set for tools/tests/bench/examples: a CLI may read
     // the clock and print, but leaks, swallowed errors and detached
     // threads are still bugs there.
     for (const std::size_t id : aux_context_ids) {
-      FileContext& ctx = contexts[id];
+      const FileContext& ctx = contexts[id];
       check_no_naked_new_delete(ctx, raw);
       check_no_swallowing_catch_all(ctx, raw);
       check_no_thread_detach(ctx, raw);
-    }
-  });
-
-  // ------------------------------------- header self-containment (R4)
-  timed("header self-containment (R4)", [&] {
-    if (options.compiler.empty()) return;
-    for (const std::size_t id : src_context_ids) {
-      const fs::path& path = abs_paths[id];
-      if (!has_extension(path, ".hpp")) continue;
-      const std::string cmd = options.compiler + " -std=" + options.std_flag +
-                              " -fsyntax-only -x c++ -I " + (root / "src").string() +
-                              " " + path.string() + " 2>/dev/null";
-      const int rc = std::system(cmd.c_str());  // NOLINT(cert-env33-c) — drives the compiler
-      if (rc != 0) {
-        raw.push_back({contexts[id].rel_path, 1, "R4",
-                       "header is not self-contained: `" + options.compiler +
-                           " -fsyntax-only " + path.filename().string() + "` failed", {}});
-      }
-      ++result.stats.headers_compiled;
     }
   });
 
@@ -230,42 +205,48 @@ LintResult run_lint(const LintOptions& options) {
     result.stats.modules = result.graph.module_count();
     result.stats.module_edges = result.graph.cross_edge_count();
 
-    if (!options.layers_file.empty()) {
-      const fs::path layers_path = resolve(root, options.layers_file);
-      if (!fs::exists(layers_path, ec)) {
-        result.config_error = true;
-        result.config_message = "layer manifest not found: " + layers_path.string();
-        return;
-      }
-      LayerManifest manifest;
-      std::string error;
-      if (!parse_layer_manifest(read_file(layers_path), manifest, error)) {
-        result.config_error = true;
-        result.config_message = error;
-        return;
-      }
-      check_layering(result.graph, manifest, raw);
+    // An empty path resolves to the root directory, which is not a
+    // manifest either.
+    const fs::path layers_path = resolve(root, options.layers_file);
+    if (!fs::is_regular_file(layers_path, ec)) {
+      result.config_error = true;
+      result.config_message = "layer manifest not found: " + layers_path.string();
+      return;
     }
+    LayerManifest manifest;
+    std::string error;
+    if (!parse_layer_manifest(read_file(layers_path), manifest, error)) {
+      result.config_error = true;
+      result.config_message = error;
+      return;
+    }
+    check_layering(result.graph, manifest, raw);
     check_include_cycles(file_graph, raw);
   });
   if (result.config_error) return result;
 
   // --------------------------------------- whole-program passes (§13)
   FunctionIndex index;
+  ContextTable table;
   timed("function index", [&] {
     for (const std::size_t id : src_context_ids) {
       index.add_file(contexts[id], id, raw);
     }
+    for (const FunctionDef& def : index.defs) {
+      widen_signature_suppressions(def, contexts[def.file_ctx]);
+      if (def.hot_path) ++result.stats.hot_regions;
+      if (def.signal_handler) ++result.stats.signal_handlers;
+    }
     result.stats.functions_indexed = index.defs.size();
+    table.reserve(contexts.size());
+    for (const FileContext& ctx : contexts) table.push_back(&ctx);
+    check_signal_handlers(table, index, raw);
   });
 
   std::optional<CallGraph> graph;
   timed("call graph + R18-R21", [&] {
     graph.emplace(index);
     result.stats.call_edges = graph->edge_count();
-    ContextTable table;
-    table.reserve(contexts.size());
-    for (const FileContext& ctx : contexts) table.push_back(&ctx);
     check_transitive_hot(table, *graph, raw);
     check_reactor_blocking(table, *graph, raw);
     check_lock_order(table, *graph, raw);
@@ -309,42 +290,6 @@ LintResult run_lint(const LintOptions& options) {
                             "unused suppression for " + s.rule +
                                 " — the finding it excused is gone; delete the comment", {}});
         }
-      }
-    }
-  });
-
-  // --------------------------------------------------- baseline pass
-  timed("baseline", [&] {
-    if (options.baseline_file.empty()) return;
-    const fs::path baseline_path = resolve(root, options.baseline_file);
-    const std::string baseline_rel = rel_to(root, baseline_path);
-    if (!fs::exists(baseline_path, ec)) return;
-    std::vector<BaselineEntry> entries = parse_baseline(read_file(baseline_path));
-    std::vector<Violation> kept;
-    for (Violation& v : active) {
-      bool grandfathered = false;
-      if (v.rule != "R15") {
-        for (BaselineEntry& entry : entries) {
-          if (baseline_matches(entry, v)) {
-            ++entry.hits;
-            ++result.stats.baselined;
-            grandfathered = true;
-            break;
-          }
-        }
-      }
-      if (!grandfathered) kept.push_back(std::move(v));
-    }
-    active = std::move(kept);
-    for (const BaselineEntry& entry : entries) {
-      if (entry.malformed) {
-        active.push_back({baseline_rel, entry.line, "R15",
-                          "malformed baseline entry — use `<path>|<rule>|<message "
-                          "substring or *>`", {}});
-      } else if (entry.hits == 0) {
-        active.push_back({baseline_rel, entry.line, "R15",
-                          "stale baseline entry for " + entry.rule + " in " + entry.file +
-                              " — the grandfathered finding is gone; delete the line", {}});
       }
     }
   });

@@ -419,17 +419,19 @@ std::vector<FunctionDef> index_functions(const FileContext& ctx,
   }
 
   // ------------------------------------------------------- marker scan
+  // A marker attaches to the definition whose parameter list is the
+  // first '(' after it.
   std::map<std::size_t, std::size_t> def_by_params;  // params_open -> index
   for (std::size_t d = 0; d < defs.size(); ++d) def_by_params[defs[d].params_open] = d;
   struct Marker {
     std::string_view word;
     bool FunctionDef::* flag;
-    bool report_detached;  ///< hot_path pass owns R16 for MCB_HOT_PATH
   };
   static const Marker kMarkers[] = {
-      {"MCB_HOT_PATH", &FunctionDef::hot_path, false},
-      {"MCB_HOT_PATH_BOUNDARY", &FunctionDef::hot_boundary, true},
-      {"MCB_REACTOR_BOUNDARY", &FunctionDef::reactor_boundary, true},
+      {"MCB_HOT_PATH", &FunctionDef::hot_path},
+      {"MCB_HOT_PATH_BOUNDARY", &FunctionDef::hot_boundary},
+      {"MCB_REACTOR_BOUNDARY", &FunctionDef::reactor_boundary},
+      {"MCB_SIGNAL_HANDLER", &FunctionDef::signal_handler},
   };
   for (const Marker& marker : kMarkers) {
     for (std::size_t pos = find_word(code, marker.word, 0);
@@ -445,13 +447,15 @@ std::vector<FunctionDef> index_functions(const FileContext& ctx,
                           ? def_by_params.end()
                           : def_by_params.find(paren);
       if (it != def_by_params.end()) {
-        defs[it->second].*marker.flag = true;
-      } else if (marker.report_detached) {
+        FunctionDef& def = defs[it->second];
+        def.*marker.flag = true;
+        def.marker_pos = std::min(def.marker_pos, pos);
+      } else {
+        const std::string name =
+            paren == std::string_view::npos ? std::string() : name_before(code, paren);
         ctx.add(pos, "R16",
-                std::string(marker.word) +
-                    " is not attached to a function definition — a boundary "
-                    "marker on a declaration cuts nothing; annotate the "
-                    "definition instead",
+                std::string(marker.word) + " on a declaration of `" + name +
+                    "` guards nothing — annotate the definition instead",
                 out);
       }
     }
@@ -471,6 +475,20 @@ std::vector<FunctionDef> index_functions(const FileContext& ctx,
     scan_lock_sites(code, defs[d].body_begin + 1, defs[d].body_end, defs[d]);
   }
   return defs;
+}
+
+void widen_signature_suppressions(const FunctionDef& def, FileContext& ctx) {
+  if (def.marker_pos == std::string_view::npos) return;
+  const std::size_t marker_line = ctx.lines.line_of(def.marker_pos);
+  const std::size_t open_line = ctx.lines.line_of(def.body_begin);
+  const std::size_t close_line = ctx.lines.line_of(def.body_end);
+  for (Suppression& s : ctx.suppressions) {
+    if (s.malformed) continue;
+    if (s.line >= marker_line && s.line <= open_line) {
+      s.scope_begin = marker_line;
+      s.scope_end = close_line;
+    }
+  }
 }
 
 void FunctionIndex::add_file(const FileContext& ctx, std::size_t file_ctx_id,

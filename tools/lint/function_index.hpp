@@ -24,11 +24,12 @@
 //    ranges are excluded from the enclosing function's call scan.
 //
 // Per definition the index also records the facts the rules consume:
-// the MCB_HOT_PATH / MCB_HOT_PATH_BOUNDARY / MCB_REACTOR_BOUNDARY
-// markers (a boundary marker not attached to a definition is R16, same
-// contract as the hot-path marker), a `bool` return type (rule R21),
-// MCB_REQUIRES / MCB_ACQUIRE capabilities, and the ordered scoped-lock
-// acquisition sites in the body (rule R20).
+// the MCB_HOT_PATH / MCB_HOT_PATH_BOUNDARY / MCB_REACTOR_BOUNDARY /
+// MCB_SIGNAL_HANDLER markers and where the first of them sits (this is
+// the analyzer's one marker parser; a marker not attached to a
+// definition is R16), a `bool` return type (rule R21), MCB_REQUIRES /
+// MCB_ACQUIRE capabilities, and the ordered scoped-lock acquisition
+// sites in the body (rule R20).
 #pragma once
 
 #include <cstddef>
@@ -62,9 +63,13 @@ struct FunctionDef {
   std::size_t params_open = 0; ///< offset of the parameter list '('
   std::size_t body_begin = 0;  ///< offset of the body '{'
   std::size_t body_end = 0;    ///< offset of the matching '}'
+  /// Offset of the first marker attached to this definition; npos
+  /// when it carries none.
+  std::size_t marker_pos = std::string_view::npos;
   bool hot_path = false;
   bool hot_boundary = false;      ///< MCB_HOT_PATH_BOUNDARY
   bool reactor_boundary = false;  ///< MCB_REACTOR_BOUNDARY
+  bool signal_handler = false;    ///< MCB_SIGNAL_HANDLER
   bool returns_bool = false;
   std::vector<std::string> entry_caps;    ///< MCB_REQUIRES args
   std::vector<std::string> acquire_caps;  ///< MCB_ACQUIRE args
@@ -84,10 +89,19 @@ struct FunctionIndex {
                 std::vector<Violation>& out);
 };
 
-/// Extract every definition in one file. Boundary markers that do not
-/// attach to a definition are reported as R16 into `out` (the hot-path
-/// pass owns the same check for MCB_HOT_PATH itself).
+/// The file-context table the function index was built over, indexed by
+/// FunctionDef::file_ctx.
+using ContextTable = std::vector<const FileContext*>;
+
+/// Extract every definition in one file. Markers that do not attach to a
+/// definition are reported as R16 into `out`.
 std::vector<FunctionDef> index_functions(const FileContext& ctx,
                                          std::vector<Violation>& out);
+
+/// Widen every suppression written on a marked definition's signature
+/// (from its first marker to the body's opening brace) to the whole
+/// body, so a policy exception sits next to the annotation it excuses.
+/// No-op for an unmarked definition.
+void widen_signature_suppressions(const FunctionDef& def, FileContext& ctx);
 
 }  // namespace mcb::lint

@@ -82,15 +82,30 @@ RenderedChain render_chain(const ContextTable& ctxs, const CallGraph& graph,
   return out;
 }
 
-// ------------------------------------------------------------------ R18
+// ------------------------------------------------------ R10-R12, R18
 
-void transitive_hot_hits(const ContextTable& ctxs, const CallGraph& graph,
-                         const CallGraph::Reach& reach, std::size_t d,
-                         std::vector<Violation>& out) {
+void hot_hits(const ContextTable& ctxs, const CallGraph& graph,
+              const CallGraph::Reach& reach, std::size_t d,
+              std::vector<Violation>& out) {
   const FunctionDef& def = graph.index().defs[d];
   const std::string_view body = body_of(ctxs, def);
   const std::vector<TokenHit> hits = scan_hot_tokens(body);
   if (hits.empty()) return;
+  if (reach.parent[d] == CallGraph::Reach::kRoot) {
+    // The root's own body: the direct rule, no chain.
+    for (const TokenHit& hit : hits) {
+      const std::string_view rule = hit.rule->rule;
+      ctxs[def.file_ctx]->add(
+          def.body_begin + hit.pos, std::string(rule),
+          std::string(hit.rule->what) + " inside MCB_HOT_PATH function `" +
+              def.name + "` — hot paths must stay " +
+              (rule == "R10"   ? "allocation-free (reuse warm buffers)"
+               : rule == "R11" ? "non-blocking and non-throwing"
+                               : "lock-free (shift synchronization to the caller or shard it)"),
+          out);
+    }
+    return;
+  }
   const RenderedChain chain = render_chain(ctxs, graph, reach, d);
   for (const TokenHit& hit : hits) {
     const std::size_t pos = def.body_begin + hit.pos;
@@ -226,14 +241,11 @@ void check_transitive_hot(const ContextTable& ctxs, const CallGraph& graph,
   for (std::size_t d = 0; d < index.defs.size(); ++d) {
     if (index.defs[d].hot_path) roots.push_back(d);
   }
+  // Each function is visited once, roots first, so a root that another
+  // root calls reports its own body as R10–R12 and never again as R18.
   const CallGraph::Reach reach = graph.reachable(
       roots, [](const FunctionDef& def) { return def.hot_boundary; });
-  for (const std::size_t d : reach.order) {
-    // Roots' direct bodies are owned by the intraprocedural R10–R12
-    // pass; re-reporting them here would double every finding.
-    if (index.defs[d].hot_path) continue;
-    transitive_hot_hits(ctxs, graph, reach, d, out);
-  }
+  for (const std::size_t d : reach.order) hot_hits(ctxs, graph, reach, d, out);
 }
 
 void check_reactor_blocking(const ContextTable& ctxs, const CallGraph& graph,

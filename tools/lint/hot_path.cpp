@@ -1,19 +1,10 @@
 #include "lint/hot_path.hpp"
 
-#include <string_view>
+#include "lint/source_view.hpp"
 
 namespace mcb::lint {
 
 namespace {
-
-constexpr std::string_view kMarker = "MCB_HOT_PATH";
-
-bool on_preprocessor_line(std::string_view code, std::size_t pos) {
-  std::size_t bol = pos;
-  while (bol > 0 && code[bol - 1] != '\n') --bol;
-  const std::size_t first = next_nonspace(code.substr(bol, pos - bol), 0);
-  return first != std::string_view::npos && code[bol + first] == '#';
-}
 
 constexpr TokenRule kHotTokenRules[] = {
     // R10 — heap allocation.
@@ -85,86 +76,6 @@ std::vector<TokenHit> scan_hot_tokens(std::string_view body) {
     }
   }
   return hits;
-}
-
-std::vector<HotRegion> find_marked_regions(const FileContext& ctx,
-                                           std::string_view marker,
-                                           std::vector<Violation>& out) {
-  std::vector<HotRegion> regions;
-  const std::string_view code = ctx.view.code;
-  const std::string name(marker);
-  for (std::size_t pos = find_word(code, marker, 0); pos != std::string_view::npos;
-       pos = find_word(code, marker, pos + 1)) {
-    if (on_preprocessor_line(code, pos)) continue;  // the #define itself
-    const std::size_t params_open = code.find('(', pos + marker.size());
-    if (params_open == std::string_view::npos) {
-      ctx.add(pos, "R16", name + " is not followed by a function definition", out);
-      continue;
-    }
-    const std::size_t params_close = match_forward(code, params_open, '(', ')');
-    if (params_close == std::string_view::npos) {
-      ctx.add(pos, "R16", name + ": unterminated parameter list", out);
-      continue;
-    }
-    const std::string function = name_before(code, params_open);
-    const std::size_t body_open = find_body_open(code, params_close + 1);
-    if (body_open == std::string_view::npos) {
-      ctx.add(pos, "R16",
-              name + " on a declaration of `" + function +
-                  "` guards nothing — annotate the definition instead",
-              out);
-      continue;
-    }
-    const std::size_t body_close = match_forward(code, body_open, '{', '}');
-    if (body_close == std::string_view::npos) {
-      ctx.add(pos, "R16", name + ": unbalanced braces in `" + function + "`", out);
-      continue;
-    }
-    regions.push_back({function, pos, body_open, body_close});
-  }
-  return regions;
-}
-
-std::vector<HotRegion> find_hot_regions(const FileContext& ctx,
-                                        std::vector<Violation>& out) {
-  return find_marked_regions(ctx, kMarker, out);
-}
-
-std::size_t check_hot_paths(FileContext& ctx, std::vector<Violation>& out) {
-  std::vector<HotRegion> regions = find_hot_regions(ctx, out);
-  if (regions.empty()) return 0;
-  const std::string_view code = ctx.view.code;
-
-  for (const HotRegion& region : regions) {
-    // Widen signature-level suppressions to the whole body: a reader
-    // sees the policy exception next to the annotation it excuses.
-    const std::size_t anno_line = ctx.lines.line_of(region.anno_pos);
-    const std::size_t open_line = ctx.lines.line_of(region.body_begin);
-    const std::size_t close_line = ctx.lines.line_of(region.body_end);
-    for (Suppression& s : ctx.suppressions) {
-      if (s.malformed) continue;
-      if (s.line >= anno_line && s.line <= open_line) {
-        s.scope_begin = anno_line;
-        s.scope_end = close_line;
-      }
-    }
-
-    const std::string_view body = code.substr(region.body_begin,
-                                              region.body_end - region.body_begin + 1);
-    for (const TokenHit& hit : scan_hot_tokens(body)) {
-      const TokenRule& rule = *hit.rule;
-      ctx.add(region.body_begin + hit.pos, rule.rule,
-              std::string(rule.what) + " inside MCB_HOT_PATH function `" +
-                  region.function + "` — hot paths must stay " +
-                  (rule.rule == std::string_view("R10")
-                       ? "allocation-free (reuse warm buffers)"
-                   : rule.rule == std::string_view("R11")
-                       ? "non-blocking and non-throwing"
-                       : "lock-free (shift synchronization to the caller or shard it)"),
-              out);
-    }
-  }
-  return regions.size();
 }
 
 }  // namespace mcb::lint

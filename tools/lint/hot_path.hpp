@@ -1,35 +1,22 @@
-// Hot-path discipline pass (DESIGN.md §12, rules R10–R12).
+// Hot-path token table (DESIGN.md §12, rules R10–R12 and R18).
 //
 // A function definition prefixed with the MCB_HOT_PATH marker
 // (src/util/annotations.hpp) declares that its body is on the serving
 // or inference fast path and must stay allocation-free (R10),
-// non-throwing and non-blocking (R11), and lock-free (R12). The pass
-// finds each marker in the code view, brace-matches the function body
-// (parameter list → optional qualifiers / ctor-init list → `{`), and
-// runs token scans over the extracted region. The checks are lexical
-// and intraprocedural: a callee that allocates is not seen here — the
-// point is to freeze the *direct* shape of the hot loops so a refactor
-// cannot slip a malloc or a mutex into them unnoticed.
-//
-// A marker followed by `;` before any `{` annotates a declaration the
-// pass cannot check; that is reported as R16 so an annotation can never
-// silently stop guarding anything.
+// non-throwing and non-blocking (R11), and lock-free (R12). The function
+// index attaches the marker (R16 when it sits on a declaration), and
+// check_transitive_hot walks the call graph from every marked root: a
+// construct in a root's own body keeps its R10/R11/R12 id, one in a
+// reachable callee is R18. Both scan bodies with the one token table
+// below, so the direct and the transitive check see the exact same
+// construct set.
 #pragma once
 
 #include <cstddef>
-#include <string>
+#include <string_view>
 #include <vector>
 
-#include "lint/diagnostics.hpp"
-
 namespace mcb::lint {
-
-struct HotRegion {
-  std::string function;     ///< best-effort display name
-  std::size_t anno_pos = 0; ///< byte offset of the MCB_HOT_PATH token
-  std::size_t body_begin = 0;  ///< offset of the opening '{'
-  std::size_t body_end = 0;    ///< offset of the matching '}'
-};
 
 /// One construct the hot-path discipline bans inside an annotated body.
 struct TokenRule {
@@ -46,26 +33,7 @@ struct TokenHit {
 };
 
 /// Scan one brace-delimited body (code view) for every R10/R11/R12
-/// token. Shared between the intraprocedural pass here and the
-/// transitive pass (R18), so both see the exact same construct set.
+/// token.
 std::vector<TokenHit> scan_hot_tokens(std::string_view body);
-
-/// Locate every function *definition* annotated with `marker`; markers
-/// on declarations or with unparseable bodies emit R16. Markers on
-/// preprocessor lines (the #define itself) are ignored. Shared by the
-/// hot-path pass (MCB_HOT_PATH) and the signal-safety pass
-/// (MCB_SIGNAL_HANDLER), so both markers attach with identical grammar.
-std::vector<HotRegion> find_marked_regions(const FileContext& ctx,
-                                           std::string_view marker,
-                                           std::vector<Violation>& out);
-
-/// find_marked_regions for the MCB_HOT_PATH marker.
-std::vector<HotRegion> find_hot_regions(const FileContext& ctx,
-                                        std::vector<Violation>& out);
-
-/// Run R10/R11/R12 over every hot region and widen any suppression
-/// written on the annotated signature (between the marker and the
-/// opening brace) to cover the whole body. Returns the region count.
-std::size_t check_hot_paths(FileContext& ctx, std::vector<Violation>& out);
 
 }  // namespace mcb::lint

@@ -3,13 +3,9 @@
 #include <string>
 #include <string_view>
 
-#include "lint/hot_path.hpp"
-
 namespace mcb::lint {
 
 namespace {
-
-constexpr std::string_view kMarker = "MCB_SIGNAL_HANDLER";
 
 // The machinery that changes process-wide signal state or walks stacks.
 // `backtrace` is listed here (confinement half) even though handler
@@ -99,27 +95,14 @@ void check_signal_machinery_confinement(const FileContext& ctx,
   }
 }
 
-std::size_t check_signal_handlers(FileContext& ctx, std::vector<Violation>& out) {
-  std::vector<HotRegion> regions = find_marked_regions(ctx, kMarker, out);
-  if (regions.empty()) return 0;
-  const std::string_view code = ctx.view.code;
-
-  for (const HotRegion& region : regions) {
-    // Same suppression widening as the hot-path pass: a suppression on
-    // the annotated signature covers the whole body.
-    const std::size_t anno_line = ctx.lines.line_of(region.anno_pos);
-    const std::size_t open_line = ctx.lines.line_of(region.body_begin);
-    const std::size_t close_line = ctx.lines.line_of(region.body_end);
-    for (Suppression& s : ctx.suppressions) {
-      if (s.malformed) continue;
-      if (s.line >= anno_line && s.line <= open_line) {
-        s.scope_begin = anno_line;
-        s.scope_end = close_line;
-      }
-    }
-
+void check_signal_handlers(const ContextTable& ctxs, const FunctionIndex& index,
+                           std::vector<Violation>& out) {
+  for (const FunctionDef& def : index.defs) {
+    if (!def.signal_handler) continue;
+    const FileContext& ctx = *ctxs[def.file_ctx];
+    const std::string_view code = ctx.view.code;
     const std::string_view body =
-        code.substr(region.body_begin, region.body_end - region.body_begin + 1);
+        code.substr(def.body_begin, def.body_end - def.body_begin + 1);
     for (const HandlerRule& rule : kHandlerRules) {
       for (std::size_t pos = find_word(body, rule.word, 0);
            pos != std::string_view::npos;
@@ -129,16 +112,14 @@ std::size_t check_signal_handlers(FileContext& ctx, std::vector<Violation>& out)
           const char before = prev_nonspace(body, pos);
           if (before != '.' && before != '>') continue;
         }
-        ctx.add(region.body_begin + pos, "R22",
-                std::string(rule.what) + " inside MCB_SIGNAL_HANDLER `" +
-                    region.function +
+        ctx.add(def.body_begin + pos, "R22",
+                std::string(rule.what) + " inside MCB_SIGNAL_HANDLER `" + def.name +
                     "` — async-signal context allows only atomics, "
                     "pre-warmed backtrace() and writes to fixed storage",
                 out);
       }
     }
   }
-  return regions.size();
 }
 
 }  // namespace mcb::lint

@@ -13,7 +13,8 @@
 //
 //   handler body a function definition prefixed with MCB_SIGNAL_HANDLER
 //                (src/util/annotations.hpp) runs in async-signal
-//                context. Its brace-matched body is scanned for
+//                context. The function index attaches the marker (R16
+//                on a declaration), and each handler's body is scanned for
 //                constructs POSIX does not allow there: allocation,
 //                stdio, locks, throwing, and post-capture symbolization
 //                (backtrace_symbols / dladdr / __cxa_demangle).
@@ -27,10 +28,10 @@
 // audited module, without the analyzer noticing.
 #pragma once
 
-#include <cstddef>
 #include <vector>
 
 #include "lint/diagnostics.hpp"
+#include "lint/function_index.hpp"
 
 namespace mcb::lint {
 
@@ -40,10 +41,9 @@ namespace mcb::lint {
 void check_signal_machinery_confinement(const FileContext& ctx,
                                         std::vector<Violation>& out);
 
-/// Handler-body half: find every MCB_SIGNAL_HANDLER definition (R16 on
-/// declarations, as for MCB_HOT_PATH) and report async-signal-unsafe
-/// constructs in the body. Signature-level suppressions widen to the
-/// whole body, mirroring check_hot_paths. Returns the handler count.
-std::size_t check_signal_handlers(FileContext& ctx, std::vector<Violation>& out);
+/// Handler-body half: report async-signal-unsafe constructs in the body
+/// of every MCB_SIGNAL_HANDLER definition in the index.
+void check_signal_handlers(const ContextTable& ctxs, const FunctionIndex& index,
+                           std::vector<Violation>& out);
 
 }  // namespace mcb::lint

@@ -178,13 +178,6 @@ void check_no_direct_stream_writes(const FileContext& ctx, std::vector<Violation
   }
 }
 
-// ------------------------------------------------------------------- R5
-void check_pragma_once(const FileContext& ctx, std::vector<Violation>& out) {
-  if (ctx.view.code.find("#pragma once") == std::string::npos) {
-    out.push_back({ctx.rel_path, 1, "R5", "header missing `#pragma once`"});
-  }
-}
-
 // ------------------------------------------------------------------ R17
 // The serving module's concurrency story depends on every socket syscall
 // living in the reactor file (src/serve/server.cpp), where non-blocking

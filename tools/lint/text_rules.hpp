@@ -1,9 +1,9 @@
-// Token-level repo invariants R1–R9 (DESIGN.md §7/§12), ported from the
-// original single-file mcbound_lint onto the SourceView front-end. All
-// scans run on the code view, so quoted or commented text can no longer
-// trip a rule; R8 reads its justification from the comments view — the
-// fix for the latent weakness where a string literal containing
-// `relaxed:` satisfied the check.
+// Token-level repo invariants R1–R3, R6–R9 and R17 (DESIGN.md §7/§12),
+// ported from the original single-file mcbound_lint onto the SourceView
+// front-end. All scans run on the code view, so quoted or commented text
+// can no longer trip a rule; R8 reads its justification from the
+// comments view — the fix for the latent weakness where a string literal
+// containing `relaxed:` satisfied the check.
 #pragma once
 
 #include <vector>
@@ -19,7 +19,6 @@ void check_no_raw_std_sync(const FileContext& ctx, std::vector<Violation>& out);
 void check_no_thread_detach(const FileContext& ctx, std::vector<Violation>& out);
 void check_relaxed_order_justified(const FileContext& ctx, std::vector<Violation>& out);
 void check_no_direct_stream_writes(const FileContext& ctx, std::vector<Violation>& out);
-void check_pragma_once(const FileContext& ctx, std::vector<Violation>& out);
 void check_reactor_syscall_confinement(const FileContext& ctx, std::vector<Violation>& out);
 
 }  // namespace mcb::lint

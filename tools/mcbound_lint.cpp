@@ -5,24 +5,26 @@
 //
 //   * a lexical front-end producing aligned code/comment views of every
 //     translation unit (tools/lint/source_view);
-//   * token rules R1–R9 over those views (tools/lint/text_rules);
+//   * token rules R1–R3, R6–R9 and R17 over those views
+//     (tools/lint/text_rules); header self-containment and include
+//     guards are not rules here — the build compiles every src/ header
+//     alone, twice (tests/CMakeLists.txt);
 //   * an include-graph pass that builds the module dependency DAG under
 //     src/ and enforces the declared layer manifest
 //     tools/lint/layers.txt — back-edges and peer edges are R13, include
 //     cycles are R14 (tools/lint/include_graph);
-//   * hot-path discipline R10–R12 over MCB_HOT_PATH-annotated function
-//     bodies: no allocation, no throw/blocking call, no lock
-//     (tools/lint/hot_path);
 //   * a diagnostics layer with inline suppressions (the `mcb-lint`
-//     suppression comments of DESIGN.md §12), a committed baseline of
-//     grandfathered findings (tools/lint/baseline.txt), and hygiene rule
-//     R15 that fails unused suppressions and stale baseline entries;
-//   * a cross-TU function index and call graph
+//     suppression comments of DESIGN.md §12) and hygiene rule R15 that
+//     fails malformed and unused suppressions;
+//   * a cross-TU function index — the one parser of the MCB_HOT_PATH,
+//     boundary and MCB_SIGNAL_HANDLER markers — and call graph
 //     (tools/lint/function_index, tools/lint/call_graph) feeding the
-//     whole-program rules R18–R21: transitive hot-path discipline,
-//     reactor blocking-reachability, static lock-order deadlock
-//     detection, and discarded bool/status results
-//     (tools/lint/graph_rules);
+//     whole-program rules: hot-path discipline in one walk from every
+//     MCB_HOT_PATH root (R10–R12 in a root's own body, R18 in what it
+//     reaches), reactor blocking-reachability (R19), static lock-order
+//     deadlock detection (R20), discarded bool/status results (R21)
+//     (tools/lint/graph_rules), and signal-handler bodies (R22,
+//     tools/lint/signal_safety);
 //   * text, SARIF and markdown reporters — CI uploads the SARIF run to
 //     GitHub code scanning, and docs/lint_rules.md is rendered from the
 //     rule catalog via --rules=markdown (tools/lint/report).
@@ -46,18 +48,16 @@ namespace {
 
 void usage() {
   std::cerr
-      << "usage: mcbound_lint --root <repo-root> [--compiler <cxx>] [--std <std>]\n"
-      << "                    [--format text|sarif] [--graph dot] [--graph-kind modules|calls]\n"
-      << "                    [--rules markdown] [--output <file>]\n"
-      << "                    [--layers <file>] [--baseline <file>] [--verbose]\n"
+      << "usage: mcbound_lint --root <repo-root> [--format text|sarif]\n"
+      << "                    [--graph dot] [--graph-kind modules|calls]\n"
+      << "                    [--rules markdown] [--output <file>] [--verbose]\n"
       << "\n"
       << "  --format sarif        emit SARIF 2.1.0 (for GitHub code scanning)\n"
       << "  --graph dot           print a dependency graph and exit\n"
       << "  --graph-kind calls    with --graph: the hot/reactor call-graph slice\n"
       << "                        instead of the src/ module DAG (the default)\n"
       << "  --rules markdown      print the rule reference (docs/lint_rules.md) and exit\n"
-      << "  --layers ''           disable the layer-manifest check (fixtures/tests)\n"
-      << "  --baseline ''         ignore the committed baseline\n"
+      << "  --verbose             print run statistics and per-pass wall times\n"
       << "\nrules:\n";
   for (const auto& rule : mcb::lint::rule_catalog()) {
     std::cerr << "  " << rule.id << (rule.id.size() < 3 ? "   " : "  ") << rule.summary
@@ -69,6 +69,7 @@ void usage() {
 
 int main(int argc, char** argv) {
   mcb::lint::LintOptions options;
+  bool verbose = false;
   std::string format = "text";
   std::string graph;
   std::string graph_kind = "modules";
@@ -92,12 +93,6 @@ int main(int argc, char** argv) {
     if (arg == "--root") {
       if ((v = next()) == nullptr) { usage(); return 2; }
       options.root = v;
-    } else if (arg == "--compiler") {
-      if ((v = next()) == nullptr) { usage(); return 2; }
-      options.compiler = v;
-    } else if (arg == "--std") {
-      if ((v = next()) == nullptr) { usage(); return 2; }
-      options.std_flag = v;
     } else if (arg == "--format") {
       if ((v = next()) == nullptr) { usage(); return 2; }
       format = v;
@@ -113,14 +108,8 @@ int main(int argc, char** argv) {
     } else if (arg == "--output") {
       if ((v = next()) == nullptr) { usage(); return 2; }
       output = v;
-    } else if (arg == "--layers") {
-      options.layers_file = has_inline_value ? std::string(value)
-                                             : ((v = next()) != nullptr ? v : "");
-    } else if (arg == "--baseline") {
-      options.baseline_file = has_inline_value ? std::string(value)
-                                               : ((v = next()) != nullptr ? v : "");
     } else if (arg == "--verbose") {
-      options.verbose = true;
+      verbose = true;
     } else {
       usage();
       return 2;
@@ -182,19 +171,17 @@ int main(int argc, char** argv) {
   } else {
     mcb::lint::print_text(out, result.violations);
   }
-  if (options.verbose || !result.violations.empty()) {
-    std::cerr << "mcbound_lint: scanned " << result.stats.files_scanned
-              << " files, compiled " << result.stats.headers_compiled << " headers, "
+  if (verbose || !result.violations.empty()) {
+    std::cerr << "mcbound_lint: scanned " << result.stats.files_scanned << " files, "
               << result.stats.modules << " modules / " << result.stats.module_edges
               << " edges, " << result.stats.hot_regions << " hot regions, "
               << result.stats.signal_handlers << " signal handler(s), "
               << result.stats.functions_indexed << " functions / "
               << result.stats.call_edges << " call edges, "
               << result.stats.suppressions_used << " suppression(s), "
-              << result.stats.baselined << " baselined, " << result.violations.size()
-              << " violation(s)\n";
+              << result.violations.size() << " violation(s)\n";
   }
-  if (options.verbose) {
+  if (verbose) {
     double total = 0.0;
     for (const mcb::lint::PassTiming& pass : result.stats.passes) {
       std::fprintf(stderr, "mcbound_lint:   %-32s %8.2f ms\n", pass.name.c_str(),
