@@ -240,7 +240,7 @@ int main(int argc, char** argv) {
   {
     obs::RequestTracer tracer;
     BenchCounterSource counters;
-    tracer.set_counter_source(&counters, /*force=*/true);
+    tracer.set_counter_source(&counters);
     obs::TraceContext trace = tracer.make_trace();
     obs::TraceScope scope(&trace);
     const double span_s = bench::best_of(kSpanReps, span_loop);

@@ -1,8 +1,32 @@
 #include "data/job_record.hpp"
 
+#include <limits>
+
 #include "util/strings.hpp"
 
 namespace mcb {
+namespace {
+
+/// parse_u64 / parse_i64 narrowed to the field's type: a value outside
+/// it rejects the row instead of wrapping.
+bool parse_u32(std::string_view text, std::uint32_t& out) {
+  std::uint64_t u = 0;
+  if (!parse_u64(text, u) || u > std::numeric_limits<std::uint32_t>::max()) return false;
+  out = static_cast<std::uint32_t>(u);
+  return true;
+}
+
+bool parse_i32(std::string_view text, std::int32_t& out) {
+  std::int64_t i = 0;
+  if (!parse_i64(text, i) || i < std::numeric_limits<std::int32_t>::min() ||
+      i > std::numeric_limits<std::int32_t>::max()) {
+    return false;
+  }
+  out = static_cast<std::int32_t>(i);
+  return true;
+}
+
+}  // namespace
 
 const std::vector<std::string>& job_csv_header() {
   static const std::vector<std::string> header = {
@@ -50,10 +74,8 @@ bool job_from_csv(const std::vector<std::string>& fields, JobRecord& out) {
   job.user_name = fields[1];
   job.job_name = fields[2];
   job.environment = fields[3];
-  if (!parse_u64(fields[4], u)) return false;
-  job.nodes_requested = static_cast<std::uint32_t>(u);
-  if (!parse_u64(fields[5], u)) return false;
-  job.cores_requested = static_cast<std::uint32_t>(u);
+  if (!parse_u32(fields[4], job.nodes_requested)) return false;
+  if (!parse_u32(fields[5], job.cores_requested)) return false;
   if (!parse_u64(fields[6], u)) return false;
   job.frequency = (u >= 2200) ? FrequencyMode::kBoost : FrequencyMode::kNormal;
   if (!parse_i64(fields[7], i)) return false;
@@ -62,10 +84,8 @@ bool job_from_csv(const std::vector<std::string>& fields, JobRecord& out) {
   job.start_time = i;
   if (!parse_i64(fields[9], i)) return false;
   job.end_time = i;
-  if (!parse_u64(fields[10], u)) return false;
-  job.nodes_allocated = static_cast<std::uint32_t>(u);
-  if (!parse_i64(fields[11], i)) return false;
-  job.exit_status = static_cast<std::int32_t>(i);
+  if (!parse_u32(fields[10], job.nodes_allocated)) return false;
+  if (!parse_i32(fields[11], job.exit_status)) return false;
   if (!parse_double(fields[12], d)) return false;
   job.perf2 = d;
   if (!parse_double(fields[13], d)) return false;

@@ -54,6 +54,39 @@ Json labels_json(const LabelSet& labels) {
 
 }  // namespace
 
+void LatencyHistogram::record(std::uint64_t ns) noexcept {
+  std::size_t bucket = kBoundsNs.size();  // +Inf
+  for (std::size_t b = 0; b < kBoundsNs.size(); ++b) {
+    if (ns <= kBoundsNs[b]) {
+      bucket = b;
+      break;
+    }
+  }
+  // relaxed: independent monotonic cells; a scrape tolerates a
+  // momentarily inconsistent bucket/sum pair.
+  buckets_[bucket].fetch_add(1, std::memory_order_relaxed);
+  sum_ns_.fetch_add(ns, std::memory_order_relaxed);  // relaxed: see above
+}
+
+std::uint64_t LatencyHistogram::add_to(MetricPoint& point) const {
+  if (point.bounds.empty()) {
+    for (const std::uint64_t ns : kBoundsNs) {
+      point.bounds.push_back(static_cast<double>(ns) * 1e-9);
+    }
+    point.cumulative.assign(kBoundsNs.size(), 0);
+  }
+  std::uint64_t running = 0;
+  for (std::size_t b = 0; b < kBoundsNs.size(); ++b) {
+    running += buckets_[b].load(std::memory_order_relaxed);  // relaxed: scrape-time read
+    point.cumulative[b] += running;
+  }
+  running += buckets_[kBoundsNs.size()].load(std::memory_order_relaxed);  // relaxed: see above
+  point.count += running;
+  // relaxed: see above
+  point.sum += static_cast<double>(sum_ns_.load(std::memory_order_relaxed)) * 1e-9;
+  return running;
+}
+
 void Registry::add(const Collector* collector) {
   if (collector == nullptr) return;
   MutexLock lock(mutex_);

@@ -15,6 +15,8 @@
 // implicit +Inf bucket equals `count`).
 #pragma once
 
+#include <array>
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -47,6 +49,31 @@ struct MetricFamily {
   std::string help;
   MetricType type = MetricType::kCounter;
   std::vector<MetricPoint> points;
+};
+
+/// Lock-free latency histogram on the one bucket ladder every latency
+/// family shares (stage spans and per-route handler time): 1 us to
+/// 256 s in x4 steps, plus +Inf. A sample costs two relaxed atomic adds;
+/// the count is derived at scrape time as the sum of all buckets, so a
+/// snapshot's count always equals its +Inf bucket.
+class LatencyHistogram {
+ public:
+  /// Finite upper bounds in ns; the top one keeps a long /train finite.
+  static constexpr std::array<std::uint64_t, 15> kBoundsNs = {
+      1'000,         4'000,          16'000,         64'000,         256'000,
+      1'000'000,     4'000'000,      16'000'000,     64'000'000,     256'000'000,
+      1'000'000'000, 4'000'000'000,  16'000'000'000, 64'000'000'000, 256'000'000'000};
+
+  void record(std::uint64_t ns) noexcept;
+
+  /// Adds this histogram's samples into `point` (setting its bounds on
+  /// first use, so several histograms can merge into one series) and
+  /// returns how many samples it added.
+  std::uint64_t add_to(MetricPoint& point) const;
+
+ private:
+  std::array<std::atomic<std::uint64_t>, kBoundsNs.size() + 1> buckets_{};
+  std::atomic<std::uint64_t> sum_ns_{0};
 };
 
 /// Interface for anything that can contribute metric families to a

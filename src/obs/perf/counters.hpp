@@ -70,7 +70,7 @@ class CounterSource {
 
   /// True when read() is cheap enough for per-span use (userspace rdpmc;
   /// no syscall). The tracer only attaches counters to requests when
-  /// this holds, unless the operator forces syscall reads (--perf force).
+  /// this holds.
   virtual bool hot_path_capable() const noexcept = 0;
 };
 

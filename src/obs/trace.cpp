@@ -137,10 +137,6 @@ MCB_HOT_PATH TraceScope::~TraceScope() { t_current_trace = previous_; }
 
 MCB_HOT_PATH Span::Span(TraceContext* trace, Stage stage) noexcept
     : trace_(trace), stage_(stage) {
-  // armed_ is the per-request snapshot of the tracer's enabled flag: a
-  // span on a disarmed trace behaves exactly like a span with no trace,
-  // so a set_enabled() flip mid-request can never record half a request.
-  if (trace_ != nullptr && !trace_->armed_) trace_ = nullptr;
   if (trace_ == nullptr) return;
   start_ns_ = trace_->tracer_->now_ns();
   if (trace_->counters_ != nullptr) {
@@ -171,12 +167,7 @@ MCB_HOT_PATH Span::~Span() {
   trace_->tracer_->record_stage(stage_, elapsed);
 }
 
-RequestTracer::RequestTracer(TracerConfig config)
-    : config_(config), clock_(&steady_now_ns) {
-  if (config_.recorder_shards == 0) config_.recorder_shards = 1;
-  if (config_.recorder_slots < config_.recorder_shards) {
-    config_.recorder_slots = config_.recorder_shards;
-  }
+RequestTracer::RequestTracer() : clock_(&steady_now_ns) {
   // Warm the TSC calibration here, off the hot path, so the first span
   // never pays the ~1 ms calibration spin.
   (void)fast_now_ns();
@@ -184,13 +175,6 @@ RequestTracer::RequestTracer(TracerConfig config)
   // collide; std::random_device is entropy, not the banned libc rand.
   std::random_device device;
   id_base_ = (static_cast<std::uint64_t>(device()) << 32) ^ device();
-  shards_ = std::vector<Shard>(config_.recorder_shards);
-  const std::size_t per_shard =
-      (config_.recorder_slots + config_.recorder_shards - 1) / config_.recorder_shards;
-  for (auto& shard : shards_) {
-    MutexLock lock(shard.mutex);
-    shard.slots.resize(per_shard);
-  }
 }
 
 void RequestTracer::set_clock(std::function<std::uint64_t()> clock) {
@@ -200,20 +184,17 @@ void RequestTracer::set_clock(std::function<std::uint64_t()> clock) {
   clock_ = clock ? std::move(clock) : std::function<std::uint64_t()>(&steady_now_ns);
 }
 
-void RequestTracer::set_counter_source(perf::CounterSource* source,
-                                       bool force) {
+void RequestTracer::set_counter_source(perf::CounterSource* source) {
   counter_source_ = source;
   counters_attached_ =
-      source != nullptr && source->available() &&
-      (force || source->hot_path_capable());
+      source != nullptr && source->available() && source->hot_path_capable();
 }
 
 TraceContext RequestTracer::make_trace(std::string_view client_id) {
   TraceContext trace;
   trace.tracer_ = this;
-  // Both the enable flag and the counter attachment are snapshotted
-  // here, once per request — spans consult only the snapshot.
-  trace.armed_ = enabled();
+  // The counter attachment is snapshotted here, once per request —
+  // spans consult only the snapshot.
   trace.counters_ = counters_attached_ ? counter_source_ : nullptr;
   trace.start_ns_ = now_ns();
   // relaxed: uniqueness only needs atomicity of the increment
@@ -228,22 +209,10 @@ TraceContext RequestTracer::make_trace(std::string_view client_id) {
 }
 
 void RequestTracer::record_stage(Stage stage, std::uint64_t ns) noexcept {
-  StageHist& hist = stages_[static_cast<std::size_t>(stage)];
-  std::size_t bucket = kBucketBounds.size();  // +Inf
-  for (std::size_t b = 0; b < kBucketBoundsNs.size(); ++b) {
-    if (ns <= kBucketBoundsNs[b]) {
-      bucket = b;
-      break;
-    }
-  }
-  // relaxed: independent monotonic histogram cells; scrapes tolerate a
-  // momentarily inconsistent bucket/sum pair.
-  hist.buckets[bucket].fetch_add(1, std::memory_order_relaxed);
-  hist.sum_ns.fetch_add(ns, std::memory_order_relaxed);  // relaxed: see above
+  stages_[static_cast<std::size_t>(stage)].record(ns);
 }
 
 void RequestTracer::finish(TraceContext& trace, int status, std::string_view route) {
-  if (!trace.armed_) return;  // disarmed at make_trace: nothing recorded
   const std::uint64_t end_ns = now_ns();
   const std::uint64_t total =
       end_ns >= trace.start_ns_ ? end_ns - trace.start_ns_ : 0;
@@ -265,9 +234,7 @@ void RequestTracer::finish(TraceContext& trace, int status, std::string_view rou
     counted_requests_.fetch_add(1, std::memory_order_relaxed);
   }
 
-  const bool errored = config_.record_errors && status >= 400;
-  const bool slow = total >= config_.slow_threshold_ns;
-  if (!errored && !slow) return;
+  if (status < 400 && total < kSlowThresholdNs) return;
 
   // relaxed: the sequence only orders retained records; the shard mutex
   // publishes the slot contents.
@@ -289,7 +256,7 @@ void RequestTracer::finish(TraceContext& trace, int status, std::string_view rou
 
 Json RequestTracer::debug_requests_json(std::size_t limit) const {
   std::vector<TraceRecord> records;
-  records.reserve(config_.recorder_slots);
+  records.reserve(kRecorderSlots);
   for (const auto& shard : shards_) {
     MutexLock lock(shard.mutex);
     for (const auto& slot : shard.slots) {
@@ -320,8 +287,7 @@ Json RequestTracer::debug_requests_json(std::size_t limit) const {
   }
   Json out = Json::object();
   out.set("count", static_cast<std::int64_t>(list.size()));
-  out.set("slow_threshold_us",
-          static_cast<double>(config_.slow_threshold_ns) * 1e-3);
+  out.set("slow_threshold_us", static_cast<double>(kSlowThresholdNs) * 1e-3);
   out.set("recorded_total", static_cast<std::int64_t>(traces_recorded()));
   out.set("requests", list);
   return out;
@@ -333,25 +299,9 @@ void RequestTracer::collect_metrics(std::vector<MetricFamily>& out) const {
   family.help = "Per-stage request latency (parse/route/encode/cache/classify/serialize)";
   family.type = MetricType::kHistogram;
   for (std::size_t s = 0; s < kStageCount; ++s) {
-    const StageHist& hist = stages_[s];
     MetricPoint point;
     point.labels = {{"stage", stage_name(static_cast<Stage>(s))}};
-    point.bounds.assign(kBucketBounds.begin(), kBucketBounds.end());
-    std::uint64_t running = 0;
-    point.cumulative.reserve(kBucketBounds.size());
-    for (std::size_t b = 0; b < kBucketBounds.size(); ++b) {
-      // relaxed: scrape-time read of monotonic cells
-      running += hist.buckets[b].load(std::memory_order_relaxed);
-      point.cumulative.push_back(running);
-    }
-    // Total count is the bucket sum including +Inf — derived here rather
-    // than maintained as a third hot-path cell, so the exposition's
-    // count >= cumulative-tail invariant holds by construction.
-    // relaxed: scrape-time read of monotonic cells
-    point.count = running + hist.buckets[kBucketBounds.size()].load(
-                                std::memory_order_relaxed);
-    point.sum =
-        static_cast<double>(hist.sum_ns.load(std::memory_order_relaxed)) * 1e-9;  // relaxed: see above
+    stages_[s].add_to(point);
     family.points.push_back(std::move(point));
   }
   out.push_back(std::move(family));

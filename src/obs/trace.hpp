@@ -7,16 +7,18 @@
 // as the thread's current trace (TraceScope). Any code on that thread —
 // the router, the handler, the encoder, the classifier — opens a
 // Span(stage) that measures steady-clock time into the context's stage
-// slot and the tracer's per-stage histogram. When no trace is current
-// (training workflows, benchmarks, tests calling library code
+// slot and the tracer's per-stage histogram (obs::LatencyHistogram, the
+// bucket ladder the server's route ledger shares). When no trace is
+// current (training workflows, benchmarks, tests calling library code
 // directly), a Span costs one thread-local load and a branch — the
 // disabled-span overhead is gated at <= ~20 ns by bench_check.
 //
-// finish() feeds the flight recorder: a mutex-sharded ring buffer of
+// finish() feeds the flight recorder: 4 mutex-sharded rings of 32
 // fixed-size slots (no allocation beyond copying into the pre-sized
-// slot) that keeps the last N traces that were slow (>= threshold) or
+// slot) that keep the last 128 traces that were slow (>= 10 ms) or
 // errored (status >= 400), with per-stage breakdowns, served as JSON by
-// GET /debug/requests.
+// GET /debug/requests. The server calls finish() from the one function
+// that records a request outcome (serve/server.hpp).
 #pragma once
 
 #include <array>
@@ -69,11 +71,6 @@ class TraceContext {
   /// the generated one.
   void adopt_id(std::string_view client_id);
 
-  /// Bounded route key recorded by the router ("POST /predict",
-  /// "(unmatched)") — never the raw attacker-controlled path.
-  void set_route(std::string_view route) { route_.assign(route); }
-  const std::string& route() const noexcept { return route_; }
-
   std::uint64_t stage_ns(Stage stage) const noexcept {
     return stage_ns_[static_cast<std::size_t>(stage)];
   }
@@ -86,12 +83,6 @@ class TraceContext {
     return stage_counters_[static_cast<std::size_t>(stage)]
                           [static_cast<std::size_t>(counter)];
   }
-  /// False when the tracer was disabled at make_trace() time: every span
-  /// on this trace is a no-op and finish() discards it. The flag is a
-  /// per-request snapshot, so a set_enabled() flip mid-request cannot
-  /// tear one request's recording (DESIGN.md §10).
-  bool armed() const noexcept { return armed_; }
-  RequestTracer* tracer() const noexcept { return tracer_; }
 
  private:
   friend class RequestTracer;
@@ -102,9 +93,7 @@ class TraceContext {
   /// request latency-only. Snapshotting (rather than consulting the
   /// tracer per span) keeps attachment atomic per request.
   perf::CounterSource* counters_ = nullptr;
-  bool armed_ = true;
   std::string id_;
-  std::string route_;
   std::uint64_t start_ns_ = 0;
   std::array<std::uint64_t, kStageCount> stage_ns_{};
   std::array<std::uint32_t, kStageCount> stage_calls_{};
@@ -165,27 +154,26 @@ struct TraceRecord {
   bool used = false;
 };
 
-struct TracerConfig {
-  std::size_t recorder_slots = 128;        ///< total ring capacity
-  std::size_t recorder_shards = 4;         ///< independent mutexed rings
-  std::uint64_t slow_threshold_ns = 10'000'000;  ///< retain when >= (10 ms)
-  bool record_errors = true;               ///< retain any status >= 400
-};
-
 /// Owns the per-stage latency histograms (lock-free atomics) and the
 /// flight recorder. One per HttpServer; registered as a Collector so
 /// the stage histograms appear on /metrics in both formats.
 class RequestTracer final : public Collector {
  public:
-  explicit RequestTracer(TracerConfig config = {});
+  static constexpr std::size_t kRecorderSlots = 128;  ///< total ring capacity
+  static constexpr std::size_t kRecorderShards = 4;   ///< independent mutexed rings
+  /// Retained when total time >= this (10 ms) or status >= 400.
+  static constexpr std::uint64_t kSlowThresholdNs = 10'000'000;
+
+  RequestTracer();
 
   /// Start a trace on the current thread; `client_id` non-empty adopts
   /// the client's ID, otherwise a process-unique one is generated.
   TraceContext make_trace(std::string_view client_id = {});
 
-  /// Complete a trace: feeds the flight recorder when the request was
-  /// slow or errored. `route` is the bounded route key ("POST /predict"
-  /// or "(unmatched)"), never the raw attacker-controlled path.
+  /// Complete a trace: flushes its counter deltas into the totals and
+  /// feeds the flight recorder when the request was slow or errored.
+  /// `route` is the bounded route key ("POST /predict" or
+  /// "(unmatched)"), never the raw attacker-controlled path.
   void finish(TraceContext& trace, int status, std::string_view route);
 
   /// Record a stage sample into the histograms without a trace context
@@ -209,24 +197,12 @@ class RequestTracer final : public Collector {
   /// thread-safe; call before serving starts.
   void set_clock(std::function<std::uint64_t()> clock);
 
-  /// Runtime enable/disable. The flag is consulted exactly once per
-  /// request (make_trace snapshots it into TraceContext::armed_), so a
-  /// flip mid-request never produces a request whose spans recorded
-  /// under one state and whose finish() ran under another.
-  void set_enabled(bool enabled) noexcept {
-    enabled_.store(enabled, std::memory_order_release);
-  }
-  bool enabled() const noexcept {
-    return enabled_.load(std::memory_order_acquire);
-  }
-
   /// Install the hardware-counter seam (not owned; must outlive the
   /// tracer). New traces attach counters only when the source is
-  /// available and hot-path capable (userspace rdpmc reads) — `force`
-  /// overrides the capability check for operators who accept syscall
-  /// read cost per span (--perf force). Not thread-safe; wire before
-  /// serving starts.
-  void set_counter_source(perf::CounterSource* source, bool force = false);
+  /// available and hot-path capable (userspace rdpmc reads), so a span
+  /// never pays a read(2) syscall. Not thread-safe; wire before serving
+  /// starts.
+  void set_counter_source(perf::CounterSource* source);
   perf::CounterSource* counter_source() const noexcept {
     return counter_source_;
   }
@@ -248,7 +224,6 @@ class RequestTracer final : public Collector {
     return counted_requests_.load(std::memory_order_relaxed);
   }
 
-  const TracerConfig& config() const noexcept { return config_; }
   std::uint64_t traces_started() const noexcept {
     // relaxed: monotonic stat counter, no ordering needed
     return seq_.load(std::memory_order_relaxed);
@@ -270,47 +245,27 @@ class RequestTracer final : public Collector {
   void collect_metrics(std::vector<MetricFamily>& out) const override;
 
  private:
-  // Finite bucket upper bounds in seconds for stage latencies: 1 us ..
-  // 4 s in x4 steps — spans two decades around the paper's per-job
-  // costs (characterize ~1e-6 s, SBERT encode ~2e-3 s).
-  static constexpr std::array<double, 12> kBucketBounds = {
-      1e-6, 4e-6, 16e-6, 64e-6, 256e-6, 1e-3, 4e-3, 16e-3, 64e-3, 256e-3, 1.0, 4.0};
-  /// kBucketBounds in integer nanoseconds: the hot-path bucket search
-  /// compares the raw ns sample without converting to double.
-  static constexpr std::array<std::uint64_t, 12> kBucketBoundsNs = {
-      1000,     4000,     16000,     64000,     256000,     1000000,
-      4000000,  16000000, 64000000,  256000000, 1000000000, 4000000000};
-
-  /// Sample count is derived at scrape time as the sum of all buckets
-  /// (including +Inf) — the hot path maintains two cells, not three.
-  struct StageHist {
-    std::array<std::atomic<std::uint64_t>, kBucketBounds.size() + 1> buckets{};
-    std::atomic<std::uint64_t> sum_ns{0};
-  };
-
   struct Shard {
     mutable Mutex mutex;
-    std::vector<TraceRecord> slots MCB_GUARDED_BY(mutex);
+    std::array<TraceRecord, kRecorderSlots / kRecorderShards> slots MCB_GUARDED_BY(mutex);
     std::size_t next MCB_GUARDED_BY(mutex) = 0;
   };
 
-  TracerConfig config_;
   std::function<std::uint64_t()> clock_;
   /// True while clock_ is the built-in steady clock; now_ns() then takes
   /// the TSC fast path instead of the std::function indirection.
   bool default_clock_ = true;
   std::uint64_t id_base_ = 0;  ///< random per-process prefix for generated IDs
-  std::atomic<bool> enabled_{true};
   perf::CounterSource* counter_source_ = nullptr;
   bool counters_attached_ = false;
   std::atomic<std::uint64_t> seq_{0};
   std::atomic<std::uint64_t> recorded_{0};
   std::atomic<std::uint64_t> counted_requests_{0};
-  std::array<StageHist, kStageCount> stages_;
+  std::array<LatencyHistogram, kStageCount> stages_;
   std::array<std::array<std::atomic<std::uint64_t>, perf::kCounterCount>,
              kStageCount>
       stage_counter_totals_{};
-  std::vector<Shard> shards_;
+  std::array<Shard, kRecorderShards> shards_;
 };
 
 }  // namespace mcb::obs

@@ -1,5 +1,8 @@
 #include "serve/api.hpp"
 
+#include <cmath>
+#include <limits>
+
 #include "obs/build_info.hpp"
 #include "obs/log.hpp"
 #include "obs/perf/profiler.hpp"
@@ -31,6 +34,29 @@ Json job_to_json(const JobRecord& job) {
   return out;
 }
 
+namespace {
+
+/// Reads integer member `key` into `out`; a non-number (or absent)
+/// member leaves `out` at its default. A value outside T, which a cast
+/// would silently wrap or truncate, fails with a message in `error`.
+template <typename T>
+bool read_int(const Json& json, const char* key, T& out, std::string* error) {
+  const Json& value = json[key];
+  if (!value.is_number()) return true;
+  const double rounded = std::round(value.as_double());
+  // max() + 1.0 is exact below 2^53 and rounds to 2^64 / 2^63 for the
+  // 64-bit types, so `<` is the true upper bound for every T (NaN fails).
+  if (rounded >= static_cast<double>(std::numeric_limits<T>::min()) &&
+      rounded < static_cast<double>(std::numeric_limits<T>::max()) + 1.0) {
+    out = static_cast<T>(rounded);
+    return true;
+  }
+  if (error != nullptr) *error = std::string(key) + " is out of range";
+  return false;
+}
+
+}  // namespace
+
 std::optional<JobRecord> job_from_json(const Json& json, std::string* error) {
   const auto fail = [error](const std::string& message) -> std::optional<JobRecord> {
     if (error != nullptr) *error = message;
@@ -38,24 +64,26 @@ std::optional<JobRecord> job_from_json(const Json& json, std::string* error) {
   };
   if (!json.is_object()) return fail("job must be a JSON object");
   JobRecord job;
-  job.job_id = static_cast<std::uint64_t>(json["job_id"].as_int(0));
   job.user_name = json["user_name"].as_string();
   job.job_name = json["job_name"].as_string();
   if (job.job_name.empty()) return fail("missing job_name");
   job.environment = json["environment"].as_string();
-  const std::int64_t nodes = json["nodes_requested"].as_int(1);
-  const std::int64_t cores = json["cores_requested"].as_int(48);
-  if (nodes <= 0 || cores <= 0) return fail("nodes/cores must be positive");
-  job.nodes_requested = static_cast<std::uint32_t>(nodes);
-  job.cores_requested = static_cast<std::uint32_t>(cores);
+  if (!read_int(json, "job_id", job.job_id, error) ||
+      !read_int(json, "nodes_requested", job.nodes_requested, error) ||
+      !read_int(json, "cores_requested", job.cores_requested, error) ||
+      !read_int(json, "submit_time", job.submit_time, error) ||
+      !read_int(json, "start_time", job.start_time, error) ||
+      !read_int(json, "end_time", job.end_time, error) ||
+      !read_int(json, "exit_status", job.exit_status, error)) {
+    return std::nullopt;
+  }
+  if (job.nodes_requested == 0 || job.cores_requested == 0) {
+    return fail("nodes/cores must be positive");
+  }
+  job.nodes_allocated = job.nodes_requested;
+  if (!read_int(json, "nodes_allocated", job.nodes_allocated, error)) return std::nullopt;
   job.frequency = json["frequency_mhz"].as_int(2000) >= 2200 ? FrequencyMode::kBoost
                                                              : FrequencyMode::kNormal;
-  job.submit_time = json["submit_time"].as_int(0);
-  job.start_time = json["start_time"].as_int(0);
-  job.end_time = json["end_time"].as_int(0);
-  job.nodes_allocated =
-      static_cast<std::uint32_t>(json["nodes_allocated"].as_int(nodes));
-  job.exit_status = static_cast<std::int32_t>(json["exit_status"].as_int(0));
   job.perf2 = json["perf2"].as_double(0.0);
   job.perf3 = json["perf3"].as_double(0.0);
   job.perf4 = json["perf4"].as_double(0.0);
@@ -126,12 +154,10 @@ ApiServer::ApiServer(Framework& framework, ServerConfig server_config)
         collect_app_metrics(out);
       }) {
   // Self-characterization wiring (DESIGN.md §14): attach the hardware
-  // counter seam per perf_mode; where perf is unavailable the tracer
-  // stays latency-only and exports mcb_perf_available 0.
+  // counter seam unless perf_mode is kOff; where perf is unavailable the
+  // tracer stays latency-only and exports mcb_perf_available 0.
   if (server_config.perf_mode != ServerConfig::PerfMode::kOff) {
-    server_.tracer().set_counter_source(
-        &counter_source_,
-        server_config.perf_mode == ServerConfig::PerfMode::kForce);
+    server_.tracer().set_counter_source(&counter_source_);
     if (!counter_source_.available()) {
       log::info("api", "hardware counters unavailable; spans run latency-only",
                 {log::Field("errno", static_cast<std::int64_t>(
@@ -197,14 +223,6 @@ void ApiServer::collect_app_metrics(std::vector<obs::MetricFamily>& out) const {
     batches.points.push_back(
         obs::scalar_point({}, static_cast<double>(batch_jobs_.load())));
     out.push_back(std::move(batches));
-
-    obs::MetricFamily requests;
-    requests.name = "mcb_classify_batch_requests_total";
-    requests.help = "POST /classify_batch requests served.";
-    requests.type = obs::MetricType::kCounter;
-    requests.points.push_back(
-        obs::scalar_point({}, static_cast<double>(batch_requests_.load())));
-    out.push_back(std::move(requests));
   }
 
   {
@@ -353,7 +371,6 @@ HttpResponse ApiServer::handle_debug_requests(const HttpRequest& request) {
 
 HttpResponse ApiServer::handle_debug_profile(const HttpRequest& request) {
   obs::perf::ProfileOptions options;
-  options.hz = server_.config().profile_hz;
   std::int64_t seconds = 2;
   for (const auto& pair : split(request.query, '&')) {
     const auto eq = pair.find('=');
@@ -563,10 +580,9 @@ HttpResponse ApiServer::handle_classify_batch(const HttpRequest& request) {
   const std::vector<Label> labels = framework_.predict_batch(*snapshot, jobs);
   if (labels.size() != jobs.size()) return error_response(500, "prediction failed");
 
-  // relaxed: independent monotonic batch counters read only by
-  // /metrics; no ordering is needed between them or with the labels.
-  batch_requests_.fetch_add(1, std::memory_order_relaxed);
-  batch_jobs_.fetch_add(jobs.size(), std::memory_order_relaxed);  // relaxed: see above
+  // relaxed: a monotonic counter read only by /metrics; no ordering is
+  // needed with the labels.
+  batch_jobs_.fetch_add(jobs.size(), std::memory_order_relaxed);
 
   Json body = Json::object();
   body.set("count", static_cast<std::int64_t>(labels.size()));

@@ -12,9 +12,15 @@
 //                          (409 while another retrain runs)
 //   GET  /metrics       -> the metrics registry's snapshot as JSON
 //                          (obs::render_json), or ?format=prometheus for
-//                          the same snapshot in the text exposition
-//   GET  /debug/profile -> ?seconds=N&hz=H: blocking SIGPROF capture of the
-//                          whole process; flamegraph-ready collapsed stacks
+//                          the same snapshot in the text exposition; the
+//                          request families come from the server's route
+//                          ledger, which counts every request, this one too
+//   GET  /healthz       -> 200 once listening (liveness)
+//   GET  /readyz        -> 503 until a trained model is loaded, then 200
+//   GET  /debug/requests -> ?limit=K: the flight recorder's slow/errored traces
+//   GET  /debug/profile -> ?seconds=N&hz=H (default 97 Hz): blocking SIGPROF
+//                          capture of the whole process; flamegraph-ready
+//                          collapsed stacks
 //
 // No API-wide lock. Handlers that need the model load one immutable
 // Framework snapshot and answer from it alone: /predict and
@@ -44,6 +50,8 @@
 namespace mcb {
 
 /// JSON <-> JobRecord conversion used by the API (exposed for tests).
+/// job_from_json rejects an integer outside its field's type (the API
+/// answers 400) instead of wrapping or truncating it.
 Json job_to_json(const JobRecord& job);
 std::optional<JobRecord> job_from_json(const Json& json, std::string* error = nullptr);
 
@@ -102,8 +110,9 @@ class ApiServer {
   /// Set while a /train runs; a concurrent /train answers 409 instead of
   /// waiting. Exported as mcb_train_in_progress.
   std::atomic<bool> training_{false};
-  std::atomic<std::uint64_t> batch_requests_{0};  ///< /classify_batch calls served
-  std::atomic<std::uint64_t> batch_jobs_{0};      ///< jobs classified across them
+  /// Jobs classified through /classify_batch; its request count is the
+  /// route's 2xx count in the server's ledger.
+  std::atomic<std::uint64_t> batch_jobs_{0};
 
   /// Steady-clock ns at start() (through the tracer's clock seam);
   /// 0 before the server has listened. Feeds uptime_seconds.

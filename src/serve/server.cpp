@@ -11,7 +11,6 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <cmath>
 #include <cstring>
 #include <optional>
 
@@ -36,6 +35,20 @@ constexpr std::uint64_t kWheelTickMs = 10;
 constexpr std::size_t kWheelSlots = 256;
 constexpr std::uint64_t kNoDeadline = static_cast<std::uint64_t>(-1);
 
+/// Route labels of the ledger's synthetic slots, in HttpServer::Outcome order.
+constexpr std::array<const char*, 7> kOutcomeNames = {
+    "(unmatched)", "(shed)", "(timeout)", "(bad_framing)", "(too_large)", "(malformed)",
+    "(client_gone)"};
+constexpr std::array<const char*, 4> kStatusClasses = {"2xx", "4xx", "5xx", "other"};
+
+/// Index into kStatusClasses. 1xx/3xx count as "other" instead of
+/// inflating the 2xx success rate.
+std::size_t status_class(int status) {
+  if (status >= 500) return 2;
+  if (status >= 400) return 1;
+  return status >= 200 && status < 300 ? 0 : 3;
+}
+
 bool send_all(int fd, std::string_view data) {
   std::size_t sent = 0;
   while (sent < data.size()) {
@@ -47,86 +60,6 @@ bool send_all(int fd, std::string_view data) {
 }
 
 }  // namespace
-
-void ServerStats::record_route(const std::string& route_key, int status,
-                               double seconds) {
-  const double us = std::max(seconds * 1e6, 0.0);
-  MutexLock lock(mutex_);
-  RouteStats& rs = routes_[route_key];
-  ++rs.count;
-  if (status >= 500) {
-    ++rs.status_5xx;
-  } else if (status >= 400) {
-    ++rs.status_4xx;
-  } else if (status >= 200 && status < 300) {
-    ++rs.status_2xx;
-  } else {
-    // 1xx/3xx (and anything below 100): count them visibly instead of
-    // inflating the 2xx success rate.
-    ++rs.status_other;
-  }
-  rs.sum_us += us;
-  rs.log10_us.add(std::log10(std::max(us, 1.0)));
-}
-
-void ServerStats::collect_metrics(std::vector<obs::MetricFamily>& out) const {
-  {
-    obs::MetricFamily conns;
-    conns.name = "mcb_http_connections_total";
-    conns.help = "Connection outcomes by event (accepted, handled, rejected, "
-                 "timed_out, malformed).";
-    conns.type = obs::MetricType::kCounter;
-    const std::pair<const char*, std::uint64_t> events[] = {
-        {"accepted", accepted.load()},   {"handled", handled.load()},
-        {"rejected", rejected.load()},   {"timed_out", timed_out.load()},
-        {"malformed", malformed.load()},
-    };
-    for (const auto& [event, value] : events) {
-      conns.points.push_back(
-          obs::scalar_point({{"event", event}}, static_cast<double>(value)));
-    }
-    out.push_back(std::move(conns));
-  }
-
-  obs::MetricFamily requests;
-  requests.name = "mcb_http_requests_total";
-  requests.help = "Dispatched requests by route and status class.";
-  requests.type = obs::MetricType::kCounter;
-
-  obs::MetricFamily durations;
-  durations.name = "mcb_http_request_duration_seconds";
-  durations.help = "Handler latency by route.";
-  durations.type = obs::MetricType::kHistogram;
-
-  MutexLock lock(mutex_);
-  for (const auto& [key, rs] : routes_) {
-    const std::pair<const char*, std::uint64_t> classes[] = {
-        {"2xx", rs.status_2xx}, {"4xx", rs.status_4xx},
-        {"5xx", rs.status_5xx}, {"other", rs.status_other},
-    };
-    for (const auto& [cls, value] : classes) {
-      if (value == 0) continue;  // keep the exposition sparse
-      requests.points.push_back(obs::scalar_point(
-          {{"route", key}, {"class", cls}}, static_cast<double>(value)));
-    }
-
-    // Re-express the log10(us) histogram as cumulative seconds buckets:
-    // bin upper edges 10^hi us become le bounds 10^hi * 1e-6 s.
-    obs::MetricPoint point;
-    point.labels = {{"route", key}};
-    std::uint64_t running = 0;
-    for (std::size_t bin = 0; bin < rs.log10_us.bins(); ++bin) {
-      running += rs.log10_us.bin_count(bin);
-      point.bounds.push_back(std::pow(10.0, rs.log10_us.bin_hi(bin)) * 1e-6);
-      point.cumulative.push_back(running);
-    }
-    point.count = rs.count;
-    point.sum = rs.sum_us * 1e-6;
-    durations.points.push_back(std::move(point));
-  }
-  out.push_back(std::move(requests));
-  out.push_back(std::move(durations));
-}
 
 /// Per-connection state machine, owned and mutated exclusively by the
 /// reactor thread (the conns_ table is mutex-guarded only because other
@@ -166,6 +99,8 @@ HttpServer::HttpServer(ServerConfig config)
     : config_(config), wheel_(kWheelTickMs, kWheelSlots) {
   if (config_.worker_threads == 0) config_.worker_threads = 1;
   if (config_.max_connections == 0) config_.max_connections = 1;
+  static_assert(kOutcomeNames.size() == kOutcomeCount);
+  for (const char* name : kOutcomeNames) ledger_.emplace_back().name = name;
 }
 
 // NOLINTNEXTLINE(bugprone-exception-escape) — stop() joins the reactor and
@@ -175,70 +110,111 @@ HttpServer::~HttpServer() { stop(); }
 
 void HttpServer::route(const std::string& method, const std::string& path,
                        HttpHandler handler) {
-  routes_[{method, path}] = std::move(handler);
+  const auto [it, added] = routes_.try_emplace({method, path}, ledger_.size());
+  if (added) ledger_.emplace_back().name = method + " " + path;
+  ledger_[it->second].handler = std::move(handler);
 }
 
 HttpResponse HttpServer::dispatch(const HttpRequest& request) const {
-  // The socket path installs the request's trace before calling in; the
-  // socketless path (unit tests, in-process clients) gets a local trace
-  // here so spans and X-Request-Id echo behave identically.
-  obs::TraceContext* trace = obs::current_trace();
-  std::optional<obs::TraceContext> local_trace;
-  std::optional<obs::TraceScope> local_scope;
-  if (trace == nullptr) {
-    const auto id_it = request.headers.find("x-request-id");
-    local_trace.emplace(tracer_.make_trace(
-        id_it != request.headers.end() ? std::string_view(id_it->second)
-                                       : std::string_view{}));
-    local_scope.emplace(&*local_trace);
-    trace = &*local_trace;
-  }
-
-  const auto started = Clock::now();
-  decltype(routes_)::const_iterator it;
-  HttpResponse response;
-  bool matched = false;
+  // The socketless path (unit tests, in-process clients) traces and
+  // counts the request like run_handler does, so spans and X-Request-Id
+  // echo behave identically.
+  const auto id_it = request.headers.find("x-request-id");
+  obs::TraceContext trace = tracer_.make_trace(
+      id_it != request.headers.end() ? std::string_view(id_it->second) : std::string_view{});
+  Routed routed;
   {
-    obs::Span route_span(trace, obs::Stage::kRoute);
+    obs::TraceScope scope(&trace);
+    routed = route_request(request, trace);
+  }
+  record_outcome(&trace, routed.slot, routed.response.status, routed.handler_ns);
+  return std::move(routed.response);
+}
+
+HttpServer::Routed HttpServer::route_request(const HttpRequest& request,
+                                             obs::TraceContext& trace) const {
+  Routed routed;
+  decltype(routes_)::const_iterator it;
+  {
+    obs::Span route_span(&trace, obs::Stage::kRoute);
     it = routes_.find({request.method, request.path});
-    matched = it != routes_.end();
-    if (!matched) {
+    if (it == routes_.end()) {
       // Distinguish 404 from 405 for better API ergonomics.
-      bool path_exists = false;
-      for (const auto& [key, handler] : routes_) {
-        (void)handler;
-        if (key.second == request.path) {
-          path_exists = true;
-          break;
-        }
-      }
-      response = path_exists
-                     ? HttpResponse::json(405, R"({"error":"method not allowed"})")
-                     : HttpResponse::json(404, R"({"error":"not found"})");
+      const bool path_exists = std::any_of(
+          routes_.begin(), routes_.end(),
+          [&request](const auto& entry) { return entry.first.second == request.path; });
+      routed.response = path_exists
+                            ? HttpResponse::json(405, R"({"error":"method not allowed"})")
+                            : HttpResponse::json(404, R"({"error":"not found"})");
     }
   }
-  if (matched) {
+  if (it != routes_.end()) {
+    routed.slot = it->second;
+    const std::uint64_t started = tracer_.now_ns();
     try {
-      response = it->second(request);
+      routed.response = ledger_[routed.slot].handler(request);
     } catch (const std::exception& e) {
-      response = HttpResponse::json(
+      routed.response = HttpResponse::json(
           500, std::string(R"({"error":")") + json_escape(e.what()) + "\"}");
     }
+    const std::uint64_t ended = tracer_.now_ns();
+    routed.handler_ns = ended > started ? ended - started : 0;
   }
-  const double seconds = std::chrono::duration<double>(Clock::now() - started).count();
-  const std::string key = matched ? request.method + " " + request.path : "(unmatched)";
-  stats_.record_route(key, response.status, seconds);
-  trace->set_route(key);
-  response.headers.emplace_back("X-Request-Id", trace->id());
-  if (local_trace.has_value()) {
-    local_scope.reset();
-    tracer_.finish(*local_trace, response.status, key);
-  }
-  return response;
+  routed.response.headers.emplace_back("X-Request-Id", trace.id());
+  return routed;
+}
+
+void HttpServer::record_outcome(obs::TraceContext* trace, std::size_t slot, int status,
+                                std::uint64_t handler_ns) const {
+  LedgerSlot& row = ledger_[slot];
+  if (trace != nullptr) tracer_.finish(*trace, status, row.name);
+  row.by_class[status_class(status)].record(handler_ns);
 }
 
 void HttpServer::collect_metrics(std::vector<obs::MetricFamily>& out) const {
-  stats_.collect_metrics(out);
+  obs::MetricFamily requests;
+  requests.name = "mcb_http_requests_total";
+  requests.help = "Requests by route and status class.";
+  requests.type = obs::MetricType::kCounter;
+  obs::MetricFamily durations;
+  durations.name = "mcb_http_request_duration_seconds";
+  durations.help = "Handler latency by route (0 for outcomes no handler ran).";
+  durations.type = obs::MetricType::kHistogram;
+  std::vector<std::uint64_t> counts(ledger_.size(), 0);
+  for (std::size_t slot = 0; slot < ledger_.size(); ++slot) {
+    const LedgerSlot& row = ledger_[slot];
+    obs::MetricPoint point;
+    point.labels = {{"route", row.name}};
+    for (std::size_t cls = 0; cls < kStatusClasses.size(); ++cls) {
+      const std::uint64_t n = row.by_class[cls].add_to(point);
+      if (n == 0) continue;  // keep the exposition sparse
+      requests.points.push_back(obs::scalar_point(
+          {{"route", row.name}, {"class", kStatusClasses[cls]}}, static_cast<double>(n)));
+    }
+    counts[slot] = point.count;
+    if (point.count != 0) durations.points.push_back(std::move(point));
+  }
+
+  obs::MetricFamily conns;
+  conns.name = "mcb_http_connections_total";
+  conns.help = "Connection outcomes by event (accepted, handled, rejected, "
+               "timed_out, malformed).";
+  conns.type = obs::MetricType::kCounter;
+  const std::pair<const char*, std::uint64_t> events[] = {
+      {"accepted", accepted_.load()},
+      {"handled", handled_.load()},
+      {"rejected", counts[kShed]},
+      {"timed_out", counts[kTimeout]},
+      {"malformed",
+       counts[kBadFraming] + counts[kTooLarge] + counts[kMalformed] + counts[kClientGone]},
+  };
+  for (const auto& [event, value] : events) {
+    conns.points.push_back(obs::scalar_point({{"event", event}}, static_cast<double>(value)));
+  }
+  out.push_back(std::move(conns));
+  out.push_back(std::move(requests));
+  out.push_back(std::move(durations));
+
   obs::MetricFamily state;
   state.name = "mcb_http_server_state";
   state.help = "Reactor state: open connections, handler-queue depth, effective listen "
@@ -384,8 +360,7 @@ void HttpServer::stop() {
     listen_fd_ = -1;
   }
   log::info("serve", "stopped",
-            {log::Field("handled", static_cast<std::int64_t>(stats_.handled.load())),
-             log::Field("rejected", static_cast<std::int64_t>(stats_.rejected.load()))});
+            {log::Field("handled", static_cast<std::int64_t>(handled_.load()))});
 }
 
 void HttpServer::reactor_loop() {
@@ -531,17 +506,15 @@ void HttpServer::process_inbuf(Connection* conn) {
     }
     const std::size_t expected = expected_request_length(conn->inbuf);
     if (expected == kInvalidRequestFraming) {
-      stats_.malformed.fetch_add(1, std::memory_order_relaxed);  // relaxed: stat counter
       fail_request(conn,
                    HttpResponse::json(400, R"({"error":"invalid content-length"})"),
-                   "(bad_framing)");
+                   kBadFraming);
       return;
     }
     if (expected != 0 && conn->inbuf.size() >= expected) {
       if (expected > config_.max_request_bytes) {
-        stats_.malformed.fetch_add(1, std::memory_order_relaxed);  // relaxed: stat counter
         fail_request(conn, HttpResponse::json(413, R"({"error":"request too large"})"),
-                     "(too_large)");
+                     kTooLarge);
         return;
       }
       dispatch_request(conn, expected);
@@ -549,9 +522,8 @@ void HttpServer::process_inbuf(Connection* conn) {
     }
     // Request still incomplete.
     if (conn->inbuf.size() > config_.max_request_bytes) {
-      stats_.malformed.fetch_add(1, std::memory_order_relaxed);  // relaxed: stat counter
       fail_request(conn, HttpResponse::json(413, R"({"error":"request too large"})"),
-                   "(too_large)");
+                   kTooLarge);
       return;
     }
     if (conn->peer_half_closed) {  // EOF mid-request: it can never complete
@@ -575,8 +547,7 @@ void HttpServer::dispatch_request(Connection* conn, std::size_t wire_len) {
   conn->receiving = false;
 
   if (draining_) {
-    stats_.rejected.fetch_add(1, std::memory_order_relaxed);  // relaxed: stat counter
-    tracer_.finish(pending->trace, 503, "(shed)");
+    record_outcome(&pending->trace, kShed, 503, 0);
     conn->want_close = true;
     enqueue_response(conn,
                      serialize_http_response(
@@ -590,10 +561,9 @@ void HttpServer::dispatch_request(Connection* conn, std::size_t wire_len) {
   if (!pool_->try_submit(task, config_.max_pending)) {
     // Handler pool saturated: shed load here instead of queueing without
     // bound. The reactor never blocks on worker progress.
-    stats_.rejected.fetch_add(1, std::memory_order_relaxed);  // relaxed: stat counter
     log::warn("serve", "shedding request: handler pool saturated",
               {log::Field("pending", static_cast<std::int64_t>(pool_->pending()))});
-    tracer_.finish(pending->trace, 503, "(shed)");
+    record_outcome(&pending->trace, kShed, 503, 0);
     conn->want_close = true;
     enqueue_response(conn,
                      serialize_http_response(
@@ -641,25 +611,22 @@ void HttpServer::run_handler(PendingRequest& pending) {
       }
     }
 
-    int status = 0;
+    Routed routed;
     {
       obs::TraceScope scope(&pending.trace);
-      const HttpResponse response = dispatch(*request);
-      status = response.status;
+      routed = route_request(*request, pending.trace);
       obs::Span serialize_span(&pending.trace, obs::Stage::kSerialize);
-      completion.wire = serialize_http_response(response, keep_alive);
+      completion.wire = serialize_http_response(routed.response, keep_alive);
     }
     completion.keep_alive = keep_alive;
     completion.dispatched = true;
-    tracer_.finish(pending.trace, status,
-                   pending.trace.route().empty() ? "(unknown)" : pending.trace.route());
+    record_outcome(&pending.trace, routed.slot, routed.response.status, routed.handler_ns);
   } else {
-    stats_.malformed.fetch_add(1, std::memory_order_relaxed);  // relaxed: stat counter
     completion.wire = serialize_http_response(
         HttpResponse::json(400, R"({"error":"malformed request"})"), false);
     completion.keep_alive = false;
     completion.dispatched = false;
-    tracer_.finish(pending.trace, 400, "(malformed)");
+    record_outcome(&pending.trace, kMalformed, 400, 0);
   }
   {
     MutexLock lock(completion_mutex_);
@@ -725,7 +692,7 @@ void HttpServer::flush_output(Connection* conn) {
     conn->out_off += static_cast<std::size_t>(n);
     while (conn->marks_done < conn->handled_marks.size() &&
            conn->handled_marks[conn->marks_done] <= conn->out_off) {
-      stats_.handled.fetch_add(1, std::memory_order_relaxed);  // relaxed: stat counter
+      handled_.fetch_add(1, std::memory_order_relaxed);  // relaxed: stat counter
       ++conn->marks_done;
     }
   }
@@ -744,28 +711,23 @@ void HttpServer::flush_output(Connection* conn) {
 }
 
 void HttpServer::fail_request(Connection* conn, const HttpResponse& response,
-                              const char* route_key) {
-  if (conn->trace.has_value()) {
-    tracer_.finish(*conn->trace, response.status, route_key);
-    conn->trace.reset();
-  }
+                              Outcome outcome) {
+  record_outcome(conn->trace.has_value() ? &*conn->trace : nullptr, outcome, response.status, 0);
+  conn->trace.reset();
   conn->receiving = false;
   conn->inbuf.clear();
   conn->want_close = true;
   enqueue_response(conn, serialize_http_response(response, false), false);
 }
 
-// The client vanished (EOF mid-request, reset, or write failure): close
-// out the receive-side trace the way the thread-per-connection server
-// classified it — 499 with the "(client_gone)" route when request bytes
-// had arrived, silently otherwise.
+// The client vanished (EOF mid-request, reset, or write failure): a
+// request whose bytes had arrived counts as 499 (client closed request)
+// under "(client_gone)"; a connection with nothing pending closes
+// silently.
 void HttpServer::finish_abandoned(Connection* conn) {
   if (!conn->trace.has_value()) return;
   if (conn->receiving && !conn->inbuf.empty()) {
-    stats_.malformed.fetch_add(1, std::memory_order_relaxed);  // relaxed: stat counter
-    // 499 (client closed request): retained by the flight recorder like
-    // any other errored request.
-    tracer_.finish(*conn->trace, 499, "(client_gone)");
+    record_outcome(&*conn->trace, kClientGone, 499, 0);
   }
   conn->trace.reset();
 }
@@ -821,7 +783,7 @@ void HttpServer::handle_accepts() {
       }
       return;  // EAGAIN: backlog drained
     }
-    stats_.accepted.fetch_add(1, std::memory_order_relaxed);  // relaxed: stat counter
+    accepted_.fetch_add(1, std::memory_order_relaxed);  // relaxed: stat counter
     std::size_t open = 0;
     {
       // mcb-lint: suppress(R19: bounded critical section — a single map size read)
@@ -829,7 +791,7 @@ void HttpServer::handle_accepts() {
       open = conns_.size();
     }
     if (open >= config_.max_connections) {
-      stats_.rejected.fetch_add(1, std::memory_order_relaxed);  // relaxed: stat counter
+      record_outcome(nullptr, kShed, 503, 0);
       // Best effort: a fresh connection's empty send buffer takes the
       // tiny 503 without blocking.
       const std::string wire = serialize_http_response(
@@ -925,9 +887,7 @@ void HttpServer::on_timer(std::uint64_t id) {
   if (conn->receiving || conn->requests_done == 0) {
     // A request in flight (or a connection that never sent one) hit the
     // idle/deadline budget: 408, matching the blocking server.
-    stats_.timed_out.fetch_add(1, std::memory_order_relaxed);  // relaxed: stat counter
-    fail_request(conn, HttpResponse::json(408, R"({"error":"request timeout"})"),
-                 "(timeout)");
+    fail_request(conn, HttpResponse::json(408, R"({"error":"request timeout"})"), kTimeout);
     return;
   }
   // Idle keep-alive connection between requests: close silently.

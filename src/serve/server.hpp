@@ -14,11 +14,20 @@
 // stop() is graceful: stop accepting, close idle connections, drain
 // in-flight requests for a bounded budget, then force-close stragglers.
 // Port 0 binds an ephemeral port — tests read the bound port back.
+//
+// Every request outcome — a handled route, a 404/405, and each way the
+// reactor answers without a handler (503 shed, 408, 400, 413, 499) — is
+// recorded by one function, record_outcome(): it finishes the request's
+// trace and counts the request in a per-route ledger fixed before
+// start(), from which /metrics reads the request, latency and outcome
+// families (DESIGN.md §6, "Observability").
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -31,7 +40,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "serve/http.hpp"
-#include "util/histogram.hpp"
 #include "util/sync.hpp"
 #include "util/thread_pool.hpp"
 #include "util/timer_wheel.hpp"
@@ -63,55 +71,11 @@ struct ServerConfig {
   /// Per-span hardware-counter attribution (DESIGN.md §14). kAuto
   /// attaches counters only when perf_event_open works *and* the
   /// userspace rdpmc fast path is mapped (a group read per span then
-  /// costs tens of ns); kForce attaches even when every read is a
-  /// read(2) syscall — diagnostics only, it multiplies span cost by
-  /// ~50x; kOff never probes. Containers without perf (ENOSYS/EACCES/
-  /// EPERM/no PMU) degrade from kAuto to latency-only spans and
-  /// mcb_perf_available 0 automatically.
-  enum class PerfMode : std::uint8_t { kAuto = 0, kOff, kForce };
+  /// costs tens of ns); kOff never probes. Containers without perf
+  /// (ENOSYS/EACCES/EPERM/no PMU) degrade from kAuto to latency-only
+  /// spans and mcb_perf_available 0 automatically.
+  enum class PerfMode : std::uint8_t { kAuto = 0, kOff };
   PerfMode perf_mode = PerfMode::kAuto;
-  /// Default SIGPROF sampling frequency for GET /debug/profile when the
-  /// request carries no hz= parameter. Prime to avoid lockstep.
-  int profile_hz = 97;
-};
-
-/// Server-side request counters. HttpServer::collect_metrics exports
-/// them into the metrics registry, whose snapshot GET /metrics renders
-/// as JSON or Prometheus text (DESIGN.md §10). Counter updates are
-/// lock-free atomics; per-route latency histograms (log10 microseconds
-/// on util/histogram) take a short mutex.
-class ServerStats {
- public:
-  std::atomic<std::uint64_t> accepted{0};       ///< sockets accept()ed
-  std::atomic<std::uint64_t> handled{0};        ///< responses fully written
-  std::atomic<std::uint64_t> rejected{0};       ///< shed with 503 (pool full / draining)
-  std::atomic<std::uint64_t> timed_out{0};      ///< cut off at a deadline (408)
-  std::atomic<std::uint64_t> malformed{0};      ///< unparsable / bad framing (400, 413)
-
-  /// Record one dispatched request: per-route count, status class and
-  /// handler latency. Unmatched routes aggregate under "(unmatched)" so
-  /// abusive path scans cannot grow the map without bound.
-  void record_route(const std::string& route_key, int status, double seconds);
-
-  /// The counters/histograms as registry families
-  /// (mcb_http_connections_total, mcb_http_requests_total,
-  /// mcb_http_request_duration_seconds).
-  void collect_metrics(std::vector<obs::MetricFamily>& out) const;
-
- private:
-  struct RouteStats {
-    std::uint64_t count = 0;
-    /// Status classes partition `count`: 2xx = [200,300), 4xx =
-    /// [400,500), 5xx = [500,...); 1xx/3xx land in `status_other`
-    /// instead of being silently folded into 2xx.
-    std::uint64_t status_2xx = 0, status_4xx = 0, status_5xx = 0;
-    std::uint64_t status_other = 0;
-    double sum_us = 0.0;
-    // log10(latency in us) over [1us, 100s) — wide enough for /train.
-    Histogram log10_us{0.0, 8.0, 32};
-  };
-  mutable Mutex mutex_;
-  std::map<std::string, RouteStats> routes_ MCB_GUARDED_BY(mutex_);
 };
 
 class HttpServer : public obs::Collector {
@@ -140,7 +104,6 @@ class HttpServer : public obs::Collector {
   bool is_running() const noexcept { return running_.load(); }
   int port() const noexcept { return port_; }
   const ServerConfig& config() const noexcept { return config_; }
-  ServerStats& stats() noexcept { return stats_; }
 
   /// The backlog listen() actually got: config().listen_backlog clamped
   /// to the kernel's net.core.somaxconn. Valid after start().
@@ -156,16 +119,52 @@ class HttpServer : public obs::Collector {
   std::size_t active_connections() const;
 
   /// Dispatch a request through the routing table without any sockets
-  /// (used by unit tests and by in-process clients). Records per-route
-  /// stats exactly like the socket path.
+  /// (used by unit tests and by in-process clients). Traces and counts
+  /// the request exactly like the socket path.
   HttpResponse dispatch(const HttpRequest& request) const;
 
-  /// ServerStats' families plus the mcb_http_server_state gauges: open
-  /// connections, handler-queue depth and the effective listen backlog.
+  /// The ledger's families — mcb_http_connections_total (accepted and
+  /// handled from the reactor; rejected, timed_out and malformed summed
+  /// from the synthetic routes), mcb_http_requests_total and
+  /// mcb_http_request_duration_seconds — plus the mcb_http_server_state
+  /// gauges: open connections, handler-queue depth and the effective
+  /// listen backlog.
   void collect_metrics(std::vector<obs::MetricFamily>& out) const override;
 
  private:
   struct Connection;  // per-connection state machine (server.cpp)
+
+  /// Ledger slots of the outcomes no route() names, fixed at
+  /// construction; route() appends one slot per (method, path).
+  enum Outcome : std::size_t {
+    kUnmatched = 0,  ///< 404/405 from the routing table
+    kShed,           ///< 503: pool saturated, draining, or over max_connections
+    kTimeout,        ///< 408 at the idle/request deadline
+    kBadFraming,     ///< 400: unparsable or duplicate Content-Length
+    kTooLarge,       ///< 413: over max_request_bytes
+    kMalformed,      ///< 400: framed but unparsable request
+    kClientGone,     ///< 499: the client closed mid-request
+    kOutcomeCount,
+  };
+
+  /// One ledger row: the route's handler (none for an Outcome) and a
+  /// latency histogram per status class (2xx, 4xx, 5xx, other). A
+  /// class's request count is its histogram's sample count, so
+  /// mcb_http_requests_total and the route's
+  /// mcb_http_request_duration_seconds agree in every scrape.
+  struct LedgerSlot {
+    std::string name;  ///< "POST /predict", "(shed)", ...
+    HttpHandler handler;
+    std::array<obs::LatencyHistogram, 4> by_class;
+  };
+
+  /// A routed request's response, the ledger slot it counts under and
+  /// its handler's run time (0 when no handler ran).
+  struct Routed {
+    HttpResponse response;
+    std::size_t slot = kUnmatched;
+    std::uint64_t handler_ns = 0;
+  };
 
   /// A finished handler's output, posted from a pool worker back to the
   /// reactor through the completion queue + eventfd wake.
@@ -186,6 +185,14 @@ class HttpServer : public obs::Collector {
     obs::TraceContext trace;
   };
 
+  Routed route_request(const HttpRequest& request, obs::TraceContext& trace) const;
+  /// The one place a request outcome is recorded: finishes `trace`
+  /// (flight recorder, counter totals) when there is one — an accept
+  /// shed never had a connection to trace — and counts the request in
+  /// `slot`'s status class with its handler time.
+  void record_outcome(obs::TraceContext* trace, std::size_t slot, int status,
+                      std::uint64_t handler_ns) const;
+
   void reactor_loop();
   void reactor_tick(const epoll_event* events, int n_events);
   void handle_event(Connection* conn, std::uint32_t events);
@@ -199,8 +206,7 @@ class HttpServer : public obs::Collector {
   void consume_wake() const;
   void enqueue_response(Connection* conn, std::string_view wire, bool count_handled);
   void flush_output(Connection* conn);
-  void fail_request(Connection* conn, const HttpResponse& response,
-                    const char* route_key);
+  void fail_request(Connection* conn, const HttpResponse& response, Outcome outcome);
   void finish_abandoned(Connection* conn);
   void close_connection(Connection* conn);
   void destroy_closed();
@@ -216,7 +222,12 @@ class HttpServer : public obs::Collector {
   Connection* find_connection(std::uint64_t id);
 
   ServerConfig config_;
-  std::map<std::pair<std::string, std::string>, HttpHandler> routes_;
+  std::map<std::pair<std::string, std::string>, std::size_t> routes_;  ///< -> ledger slot
+  /// Shape fixed once start() runs (a deque, so slots never move as
+  /// route() appends); recording touches only the slots' atomics.
+  mutable std::deque<LedgerSlot> ledger_;
+  std::atomic<std::uint64_t> accepted_{0};  ///< sockets accept()ed
+  std::atomic<std::uint64_t> handled_{0};   ///< dispatched responses fully written
   std::atomic<bool> running_{false};
   int listen_fd_ = -1;
   int epoll_fd_ = -1;
@@ -243,7 +254,6 @@ class HttpServer : public obs::Collector {
   mutable Mutex completion_mutex_;
   std::vector<Completion> completions_ MCB_GUARDED_BY(completion_mutex_);
 
-  mutable ServerStats stats_;
   mutable obs::RequestTracer tracer_;
 };
 

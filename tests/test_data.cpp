@@ -322,6 +322,15 @@ TEST_F(JobStoreMalformedCsv, OverflowingNumericFieldRejected) {
   const std::string error = load_error(
       "10,u,j,e,4,192,2200,99999999999999999999999999,280,880,4,0,1,1,1,1,0,1.0\n");
   EXPECT_NE(error.find("data row 2"), std::string::npos) << error;
+  // Fields narrower than 64 bits reject a value outside their type
+  // instead of truncating it: 2^32 + 48 cores is not a 48-core job.
+  for (const char* row : {"11,u,j,e,4,4294967344,2200,100,280,880,4,0,1,1,1,1,0,1.0\n",
+                          "12,u,j,e,4294967296,192,2200,100,280,880,4,0,1,1,1,1,0,1.0\n",
+                          "13,u,j,e,4,192,2200,100,280,880,4294967296,0,1,1,1,1,0,1.0\n",
+                          "14,u,j,e,4,192,2200,100,280,880,4,2147483648,1,1,1,1,0,1.0\n",
+                          "15,u,j,e,4,192,2200,100,280,880,4,-2147483649,1,1,1,1,0,1.0\n"}) {
+    EXPECT_NE(load_error(row).find("data row 2"), std::string::npos) << row;
+  }
 }
 
 class StoreQueryProperty : public ::testing::TestWithParam<std::uint64_t> {};

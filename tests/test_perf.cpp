@@ -1,8 +1,7 @@
 // Tests for the self-characterization subsystem (DESIGN.md §14): the
 // CounterSource seam and its degradation contract, multiplexing scaling
 // and wraparound clamping, per-stage counter attribution through Span,
-// the atomic per-request enable/disable snapshot, the roofline
-// StageProfileCollector, the SIGPROF sampling profiler's collapsed
+// the roofline StageProfileCollector, the SIGPROF sampling profiler's collapsed
 // output, and a TSan hammer racing request threads against a /metrics
 // scraper and a live profiler capture.
 //
@@ -155,9 +154,9 @@ TEST(PerfCounters, TracerDegradesWhenSourceUnavailable) {
   }
 }
 
-TEST(PerfCounters, ForceAttachOverridesHotPathCapability) {
-  // A source that works but only via syscall reads is skipped by kAuto
-  // semantics and attached under force.
+TEST(PerfCounters, SyscallOnlySourceIsNotAttached) {
+  // A source that works but only via syscall reads would multiply every
+  // span's cost: the tracer leaves requests latency-only.
   class SyscallOnlySource final : public CounterSource {
    public:
     bool read_counters(CounterSample& out) noexcept override {
@@ -170,10 +169,8 @@ TEST(PerfCounters, ForceAttachOverridesHotPathCapability) {
   };
   SyscallOnlySource source;
   obs::RequestTracer tracer;
-  tracer.set_counter_source(&source, /*force=*/false);
+  tracer.set_counter_source(&source);
   EXPECT_FALSE(tracer.counters_attached());
-  tracer.set_counter_source(&source, /*force=*/true);
-  EXPECT_TRUE(tracer.counters_attached());
 }
 
 // -------------------------------------------------- counter attribution
@@ -256,78 +253,6 @@ TEST(PerfCounters, WraparoundClampsToZeroInsteadOfPoisoning) {
   // Counters that did advance still attribute normally.
   EXPECT_EQ(trace.stage_counter(obs::Stage::kParse, Counter::kInstructions),
             1000U);
-}
-
-// ------------------------------- satellite 1: atomic per-request enable
-
-TEST(PerfCounters, DisableBeforeRequestRecordsNothing) {
-  obs::RequestTracer tracer;
-  std::uint64_t now = 0;
-  tracer.set_clock([&now] { return now; });
-  tracer.set_enabled(false);
-  obs::TraceContext trace = tracer.make_trace();
-  EXPECT_FALSE(trace.armed());
-  obs::TraceScope scope(&trace);
-  {
-    obs::Span span(obs::Stage::kEncode);
-    now += 500;
-  }
-  EXPECT_EQ(trace.stage_ns(obs::Stage::kEncode), 0U);
-  EXPECT_EQ(trace.stage_calls(obs::Stage::kEncode), 0U);
-  tracer.finish(trace, 500, "POST /predict");  // errored would retain
-  EXPECT_EQ(tracer.traces_recorded(), 0U);
-  std::vector<obs::MetricFamily> families;
-  tracer.collect_metrics(families);
-  for (const auto& point : families[0].points) EXPECT_EQ(point.count, 0U);
-}
-
-TEST(PerfCounters, DisableMidRequestKeepsTheRequestConsistent) {
-  // The regression this satellite pins down: the enable flag used to be
-  // (conceptually) global, so a request whose spans recorded could see
-  // its TraceScope torn down under a different enable state. The
-  // per-request snapshot makes the whole request record — spans AND
-  // finish — under the state captured at make_trace().
-  obs::TracerConfig config;
-  config.slow_threshold_ns = 0;  // retain everything
-  obs::RequestTracer tracer(config);
-  std::uint64_t now = 0;
-  tracer.set_clock([&now] { return now; });
-
-  obs::TraceContext trace = tracer.make_trace();
-  EXPECT_TRUE(trace.armed());
-  obs::TraceScope scope(&trace);
-  {
-    obs::Span span(obs::Stage::kClassify);
-    now += 250;
-    tracer.set_enabled(false);  // flips mid-span, mid-request
-    now += 250;
-  }
-  {
-    obs::Span span(obs::Stage::kSerialize);
-    now += 100;
-  }
-  tracer.finish(trace, 200, "POST /predict");
-
-  // Everything recorded under the armed snapshot: both spans and the
-  // flight-recorder entry — not half a request.
-  EXPECT_EQ(trace.stage_ns(obs::Stage::kClassify), 500U);
-  EXPECT_EQ(trace.stage_ns(obs::Stage::kSerialize), 100U);
-  EXPECT_EQ(tracer.traces_recorded(), 1U);
-
-  // The *next* request observes the disable atomically.
-  obs::TraceContext next = tracer.make_trace();
-  EXPECT_FALSE(next.armed());
-  obs::TraceScope next_scope(&next);
-  {
-    obs::Span span(obs::Stage::kClassify);
-    now += 100;
-  }
-  tracer.finish(next, 200, "POST /predict");
-  EXPECT_EQ(next.stage_calls(obs::Stage::kClassify), 0U);
-  EXPECT_EQ(tracer.traces_recorded(), 1U);
-
-  tracer.set_enabled(true);
-  EXPECT_TRUE(tracer.make_trace().armed());
 }
 
 // ---------------------------------------- roofline stage self-profiling
@@ -481,11 +406,7 @@ TEST(Profiler, ConcurrentCaptureIsRejectedAsBusy) {
 // ------------------------------------------------ satellite 3: the hammer
 
 TEST(PerfCounters, HammerWithScraperAndProfileCapture) {
-  obs::TracerConfig config;
-  config.recorder_slots = 16;
-  config.recorder_shards = 4;
-  config.slow_threshold_ns = 0;
-  obs::RequestTracer tracer(config);
+  obs::RequestTracer tracer;
   TickingCounterSource source;
   tracer.set_counter_source(&source);
   ASSERT_TRUE(tracer.counters_attached());
@@ -504,7 +425,8 @@ TEST(PerfCounters, HammerWithScraperAndProfileCapture) {
         obs::TraceScope scope(&trace);
         { obs::Span span(obs::Stage::kParse); }
         { obs::Span span(obs::Stage::kClassify); }
-        tracer.finish(trace, 200, "POST /predict");
+        // Errored, so every request also contends for the recorder shards.
+        tracer.finish(trace, 500, "POST /predict");
       }
     });
   }

@@ -15,6 +15,7 @@
 #include <filesystem>
 #include <fstream>
 #include <future>
+#include <limits>
 #include <map>
 #include <thread>
 
@@ -115,8 +116,27 @@ double route_class(const Json& metrics, const std::string& route, const std::str
   return metric_value(metrics, "mcb_http_requests_total", {{"route", route}, {"class", cls}});
 }
 
+/// Requests a route counted, summed over its status classes.
+double route_requests(const Json& metrics, const std::string& route) {
+  double total = 0.0;
+  for (const Json& point : metrics["mcb_http_requests_total"]["points"].as_array()) {
+    if (point["labels"]["route"].as_string() == route) total += point["value"].as_double();
+  }
+  return total;
+}
+
 double connections(const Json& metrics, const std::string& event) {
   return metric_value(metrics, "mcb_http_connections_total", {{"event", event}});
+}
+
+/// One request ended in `outcome`: its route counted one request and one
+/// latency sample, and the mcb_http_connections_total `event` behind it
+/// agrees.
+void expect_one_outcome(const Json& metrics, const std::string& outcome,
+                        const std::string& event) {
+  EXPECT_EQ(route_requests(metrics, outcome), 1.0) << outcome;
+  EXPECT_EQ(route_count(metrics, outcome), 1) << outcome;
+  EXPECT_EQ(connections(metrics, event), 1.0) << event;
 }
 
 /// A response header's value, or "" when absent.
@@ -325,7 +345,7 @@ TEST(HttpServer, SlowClientTimesOutAndStopIsPrompt) {
   ::close(fd);
   EXPECT_EQ(parse_status(wire), 408);
   EXPECT_LT(seconds_since(started), 2.0);
-  EXPECT_GE(server.stats().timed_out.load(), 1U);
+  EXPECT_GE(connections(rendered_metrics(server), "timed_out"), 1.0);
 
   const auto stop_started = Clock::now();
   server.stop();
@@ -349,6 +369,7 @@ TEST(HttpServer, PartialRequestTimesOut) {
   EXPECT_EQ(parse_status(wire), 408);
   EXPECT_LT(seconds_since(started), 2.0);
   server.stop();
+  expect_one_outcome(rendered_metrics(server), "(timeout)", "timed_out");
 }
 
 TEST(HttpServer, InvalidContentLengthIsImmediate400) {
@@ -369,8 +390,8 @@ TEST(HttpServer, InvalidContentLengthIsImmediate400) {
   ::close(fd);
   EXPECT_EQ(parse_status(wire), 400);
   EXPECT_LT(seconds_since(started), 1.0);
-  EXPECT_GE(server.stats().malformed.load(), 1U);
   server.stop();
+  expect_one_outcome(rendered_metrics(server), "(bad_framing)", "malformed");
 }
 
 TEST(HttpServer, QueueFullSheds503) {
@@ -401,11 +422,14 @@ TEST(HttpServer, QueueFullSheds503) {
   std::string body;
   ASSERT_TRUE(http_request(server.port(), "GET", "/block", "", status, body));
   EXPECT_EQ(status, 503);
-  EXPECT_GE(server.stats().rejected.load(), 1U);
 
   release.set_value();
   blocker.join();
   server.stop();
+  const Json metrics = rendered_metrics(server);
+  expect_one_outcome(metrics, "(shed)", "rejected");
+  EXPECT_EQ(route_class(metrics, "(shed)", "5xx"), 1.0);
+  EXPECT_EQ(route_count(metrics, "GET /block"), 1);
 }
 
 TEST(HttpServer, StopUnderLoadCompletesWithinDrainDeadline) {
@@ -451,11 +475,9 @@ TEST(HttpServer, StatsCountersAndMetricsJson) {
   EXPECT_EQ(status, 404);
   server.stop();
 
-  EXPECT_GE(server.stats().accepted.load(), 4U);
-  EXPECT_GE(server.stats().handled.load(), 4U);
-
   const Json metrics = rendered_metrics(server);
   EXPECT_GE(connections(metrics, "accepted"), 4.0);
+  EXPECT_GE(connections(metrics, "handled"), 4.0);
   EXPECT_EQ(route_count(metrics, "GET /n"), 3);
   EXPECT_EQ(route_class(metrics, "GET /n", "2xx"), 3.0);
   const Json* latency =
@@ -486,7 +508,7 @@ TEST(HttpServer, StatusClassesPartitionRouteCounts) {
   EXPECT_EQ(route_class(metrics, "GET /redirect", "other"), 1.0);
   EXPECT_EQ(route_class(metrics, "GET /redirect", "2xx"), 0.0);
   // A handler failure is a dispatched request, not a protocol error.
-  EXPECT_EQ(server.stats().malformed.load(), 0U);
+  EXPECT_EQ(connections(metrics, "malformed"), 0.0);
 }
 
 TEST(HttpServer, ThrowingHandlerCountsExactlyOnceOverSocket) {
@@ -500,16 +522,16 @@ TEST(HttpServer, ThrowingHandlerCountsExactlyOnceOverSocket) {
   EXPECT_EQ(status, 500);
   server.stop();
 
-  EXPECT_EQ(server.stats().malformed.load(), 0U);
-  EXPECT_EQ(server.stats().handled.load(), 1U);
   const Json metrics = rendered_metrics(server);
+  EXPECT_EQ(connections(metrics, "malformed"), 0.0);
+  EXPECT_EQ(connections(metrics, "handled"), 1.0);
   EXPECT_EQ(route_count(metrics, "GET /boom"), 1);
   EXPECT_EQ(route_class(metrics, "GET /boom", "5xx"), 1.0);
 }
 
 TEST(HttpServer, OversizedRequestIsMalformedOnlyNotARoute) {
   // The connection-level 413 never reaches dispatch: it must count once
-  // under `malformed` and leave the per-route map untouched.
+  // under "(too_large)" and `malformed`, and leave its route untouched.
   ServerConfig config;
   config.max_request_bytes = 128;
   HttpServer server(config);
@@ -522,14 +544,84 @@ TEST(HttpServer, OversizedRequestIsMalformedOnlyNotARoute) {
   EXPECT_EQ(status, 413);
   server.stop();
 
-  EXPECT_EQ(server.stats().malformed.load(), 1U);
   const Json metrics = rendered_metrics(server);
-  EXPECT_EQ(connections(metrics, "malformed"), 1.0);
+  expect_one_outcome(metrics, "(too_large)", "malformed");
   EXPECT_EQ(find_point(metrics, "mcb_http_request_duration_seconds", {{"route", "POST /n"}}),
             nullptr);
   for (const Json& point : metrics["mcb_http_requests_total"]["points"].as_array()) {
     EXPECT_NE(point["labels"]["route"].as_string(), "POST /n");
   }
+}
+
+TEST(HttpServer, MalformedLineAndVanishedClientAreCountedAndTraced) {
+  // The two outcomes the reactor records without a handler that the
+  // tests above do not reach: a well-framed but unparsable request line
+  // (400) and a client that closes mid-request (499, no response).
+  HttpServer server;
+  server.route("GET", "/n",
+               [](const HttpRequest&) { return HttpResponse::json(200, "{}"); });
+  ASSERT_TRUE(server.start(0));
+
+  const int bad = connect_raw(server.port());
+  ASSERT_GE(bad, 0);
+  const std::string line = "GET  /n HTTP/1.1\r\n\r\n";  // two spaces: framed, unparsable
+  ASSERT_GT(::send(bad, line.data(), line.size(), MSG_NOSIGNAL), 0);
+  EXPECT_EQ(parse_status(read_until_closed(bad)), 400);
+  ::close(bad);
+
+  const int gone = connect_raw(server.port());
+  ASSERT_GE(gone, 0);
+  const std::string partial = "GET /n HTTP/1.1\r\nHost: x";
+  ASSERT_GT(::send(gone, partial.data(), partial.size(), MSG_NOSIGNAL), 0);
+  ASSERT_EQ(::shutdown(gone, SHUT_WR), 0);
+  EXPECT_TRUE(read_until_closed(gone).empty());  // closed without a response
+  ::close(gone);
+  server.stop();
+
+  const Json metrics = rendered_metrics(server);
+  for (const char* outcome : {"(malformed)", "(client_gone)"}) {
+    EXPECT_EQ(route_requests(metrics, outcome), 1.0) << outcome;
+    EXPECT_EQ(route_count(metrics, outcome), 1) << outcome;
+  }
+  EXPECT_EQ(route_class(metrics, "(malformed)", "4xx"), 1.0);
+  EXPECT_EQ(route_class(metrics, "(client_gone)", "4xx"), 1.0);
+  EXPECT_EQ(connections(metrics, "malformed"), 2.0);
+  EXPECT_EQ(connections(metrics, "handled"), 0.0);
+  // The same function finished both traces: each errored request is in
+  // the flight recorder exactly once.
+  std::map<std::string, int> traced;
+  const Json recorded = server.tracer().debug_requests_json(64);
+  for (const Json& entry : recorded["requests"].as_array()) {
+    ++traced[entry["route"].as_string() + " " + std::to_string(entry["status"].as_int())];
+  }
+  EXPECT_EQ(traced["(malformed) 400"], 1);
+  EXPECT_EQ(traced["(client_gone) 499"], 1);
+}
+
+TEST(HttpServer, RequestCountsMatchLatencyCountsInEveryScrape) {
+  // Each route's status-class counters are its latency histogram's
+  // sample counts, so a scrape racing live requests still sees the two
+  // families agree.
+  HttpServer server;
+  server.route("GET", "/ok", [](const HttpRequest&) { return HttpResponse::json(200, "{}"); });
+  server.route("GET", "/err", [](const HttpRequest&) { return HttpResponse::json(503, "{}"); });
+  std::atomic<bool> done{false};
+  std::vector<std::thread> clients;
+  for (const char* path : {"/ok", "/err", "/missing"}) {
+    clients.emplace_back([&server, &done, path] {
+      HttpRequest request{"GET", path, "", {}, ""};
+      while (!done.load()) (void)server.dispatch(request);
+    });
+  }
+  for (int scrape = 0; scrape < 200; ++scrape) {
+    const Json metrics = rendered_metrics(server);
+    for (const char* route : {"GET /ok", "GET /err", "(unmatched)"}) {
+      EXPECT_EQ(route_requests(metrics, route), static_cast<double>(route_count(metrics, route)))
+          << route;
+    }
+  }
+  done.store(true);
+  for (auto& client : clients) client.join();
 }
 
 // --------------------------------------------- reactor-specific behavior
@@ -583,8 +675,9 @@ TEST(HttpReactor, SlowLorisRequestCompletesAcrossManyWakeups) {
   server.stop();
   EXPECT_EQ(parse_status(wire), 200);
   EXPECT_NE(wire.find(R"({"ok":1})"), std::string::npos);
-  EXPECT_EQ(server.stats().handled.load(), 1U);
-  EXPECT_EQ(server.stats().timed_out.load(), 0U);
+  const Json metrics = rendered_metrics(server);
+  EXPECT_EQ(connections(metrics, "handled"), 1.0);
+  EXPECT_EQ(connections(metrics, "timed_out"), 0.0);
 }
 
 TEST(HttpReactor, KeepAliveSequenceReusesOneConnection) {
@@ -606,8 +699,9 @@ TEST(HttpReactor, KeepAliveSequenceReusesOneConnection) {
   ::close(fd);
   server.stop();
   // All three requests rode one accepted connection and its reused buffers.
-  EXPECT_EQ(server.stats().accepted.load(), 1U);
-  EXPECT_EQ(server.stats().handled.load(), 3U);
+  const Json metrics = rendered_metrics(server);
+  EXPECT_EQ(connections(metrics, "accepted"), 1.0);
+  EXPECT_EQ(connections(metrics, "handled"), 3.0);
 }
 
 TEST(HttpReactor, PipelinedBurstIsAnsweredInOrder) {
@@ -637,7 +731,7 @@ TEST(HttpReactor, PipelinedBurstIsAnsweredInOrder) {
               std::string::npos)
         << "response " << i << " out of order: " << responses[i];
   }
-  EXPECT_EQ(server.stats().handled.load(), 4U);
+  EXPECT_EQ(connections(rendered_metrics(server), "handled"), 4.0);
 }
 
 TEST(HttpReactor, HalfCloseStillReceivesTheResponse) {
@@ -659,8 +753,9 @@ TEST(HttpReactor, HalfCloseStillReceivesTheResponse) {
   server.stop();
   EXPECT_EQ(parse_status(wire), 200);
   EXPECT_NE(wire.find(R"({"hc":1})"), std::string::npos);
-  EXPECT_EQ(server.stats().handled.load(), 1U);
-  EXPECT_EQ(server.stats().malformed.load(), 0U);
+  const Json metrics = rendered_metrics(server);
+  EXPECT_EQ(connections(metrics, "handled"), 1.0);
+  EXPECT_EQ(connections(metrics, "malformed"), 0.0);
 }
 
 TEST(HttpReactor, StopHammerUnderConcurrentConnectionChurn) {
@@ -755,6 +850,27 @@ TEST(JobJson, DefaultsAndValidation) {
       job_from_json(*Json::parse(R"({"job_name":"x","nodes_requested":0})"), &error)
           .has_value());
   EXPECT_FALSE(job_from_json(*Json::parse(R"([1,2,3])"), &error).has_value());
+
+  // An integer outside its field's type is rejected, never wrapped or
+  // truncated: 2^32 + 48 cores is not a 48-core job.
+  for (const char* body : {R"({"job_name":"x","cores_requested":4294967344})",
+                           R"({"job_name":"x","nodes_requested":4294967296})",
+                           R"({"job_name":"x","nodes_allocated":-1})",
+                           R"({"job_name":"x","exit_status":2147483648})",
+                           R"({"job_name":"x","job_id":-1})",
+                           R"({"job_name":"x","end_time":1e300})"}) {
+    EXPECT_FALSE(job_from_json(*Json::parse(body), &error).has_value()) << body;
+  }
+  EXPECT_EQ(error, "end_time is out of range");
+  // The extremes of each type still decode.
+  const auto widest = job_from_json(*Json::parse(R"({"job_name":"x","cores_requested":4294967295,)"
+                                                  R"("exit_status":-2147483648,)"
+                                                  R"("job_id":9007199254740992})"),
+                                     &error);
+  ASSERT_TRUE(widest.has_value()) << error;
+  EXPECT_EQ(widest->cores_requested, std::numeric_limits<std::uint32_t>::max());
+  EXPECT_EQ(widest->exit_status, std::numeric_limits<std::int32_t>::min());
+  EXPECT_EQ(widest->job_id, 9007199254740992U);
 }
 
 // ---------------------------------------------------------------- API
@@ -877,6 +993,12 @@ TEST_F(ApiTest, ClassifyBatchValidation) {
   EXPECT_EQ(response.status, 400);
   EXPECT_NE(Json::parse(response.body)->operator[]("error").as_string().find("jobs[1]"),
             std::string::npos);
+  // An out-of-range integer is a 400 naming the field, not a wrapped value.
+  const auto overflow = call("POST", "/classify_batch",
+                             R"({"jobs":[{"job_name":"x","cores_requested":4294967344}]})");
+  EXPECT_EQ(overflow.status, 400);
+  EXPECT_EQ((*Json::parse(overflow.body))["error"].as_string(),
+            "jobs[0]: cores_requested is out of range");
 }
 
 TEST_F(ApiTest, ClassifyBatchFlow) {
@@ -908,7 +1030,7 @@ TEST_F(ApiTest, ClassifyBatchFlow) {
   EXPECT_EQ(metric_value(*metrics, "mcb_embedding_cache_ops_total", {{"op", "hit"}}), 6.0);
   EXPECT_EQ(metric_value(*metrics, "mcb_embedding_cache_ops_total", {{"op", "miss"}}), 60.0);
   EXPECT_EQ(metric_value(*metrics, "mcb_embedding_cache_entries", {{"kind", "current"}}), 2.0);
-  EXPECT_EQ(metric_value(*metrics, "mcb_classify_batch_requests_total"), 2.0);
+  EXPECT_EQ(route_class(*metrics, "POST /classify_batch", "2xx"), 2.0);
   EXPECT_EQ(metric_value(*metrics, "mcb_classify_batch_jobs_total"), 6.0);
 }
 
@@ -1162,6 +1284,28 @@ TEST_F(ApiTest, JsonAndPrometheusRenderOneSurface) {
     EXPECT_EQ(json_counts[route], 1.0) << route;
     EXPECT_EQ(prom_counts[route], 1.0) << route;
   }
+}
+
+TEST_F(ApiTest, RequestTraceAndStageCountsAgree) {
+  // Every dispatch starts one trace, runs one route span and is counted
+  // once in the ledger; read the registry directly so no /metrics
+  // request is in flight while it is gathered.
+  call("GET", "/health");
+  call("GET", "/healthz");
+  call("POST", "/predict", "{not json");
+  call("GET", "/no-such-endpoint");
+  call("DELETE", "/health");
+  const Json metrics = obs::render_json(api_->registry().gather());
+  double requests = 0.0;
+  for (const Json& point : metrics["mcb_http_requests_total"]["points"].as_array()) {
+    requests += point["value"].as_double();
+  }
+  EXPECT_EQ(requests, 5.0);
+  EXPECT_EQ(static_cast<double>(api_->tracer().traces_started()), requests);
+  const Json* route_stage =
+      find_point(metrics, "mcb_stage_duration_seconds", {{"stage", "route"}});
+  ASSERT_NE(route_stage, nullptr);
+  EXPECT_EQ((*route_stage)["count"].as_double(), requests);
 }
 
 TEST_F(ApiTest, OversizedBatchIs413CountedOnce) {

@@ -41,7 +41,9 @@
 //
 // checks that every sample belongs to a family announced by # TYPE,
 // every family has # HELP, histogram buckets are cumulative with
-// ascending le bounds, and each histogram's +Inf bucket equals _count.
+// ascending le bounds, each histogram's +Inf bucket equals _count, and
+// the server's route ledger holds: for every route, the status classes
+// of mcb_http_requests_total sum to mcb_http_request_duration_seconds_count.
 //
 // A third mode validates a collapsed-stack profile (the load-test job
 // captures GET /debug/profile against the live server — DESIGN.md §14):
@@ -159,6 +161,7 @@ struct PromSample {
   std::string name;          // full sample name (incl. _bucket/_sum/_count)
   std::string series_key;    // labels with any le="..." removed
   std::string le;            // le label value ("" when absent)
+  std::string route;         // route label value ("" when absent)
   double value = 0.0;
   std::size_t line = 0;
 };
@@ -182,6 +185,7 @@ bool parse_prom_sample(std::string_view text, std::size_t line_no, PromSample& o
   out.name = std::string(text.substr(0, i));
   out.series_key.clear();
   out.le.clear();
+  out.route.clear();
   out.line = line_no;
 
   if (i < text.size() && text[i] == '{') {
@@ -209,6 +213,7 @@ bool parse_prom_sample(std::string_view text, std::size_t line_no, PromSample& o
       if (key == "le") {
         out.le = value;
       } else {
+        if (key == "route") out.route = value;
         if (!out.series_key.empty()) out.series_key += ',';
         out.series_key += key;
         out.series_key += '=';
@@ -242,6 +247,8 @@ int check_prometheus(const std::string& path) {
       buckets;
   // family -> series_key -> _count value
   std::map<std::string, std::map<std::string, double>> counts;
+  // route -> {requests summed over status classes, latency-histogram count}
+  std::map<std::string, std::pair<double, double>> ledger;
   std::size_t samples = 0;
 
   std::string line;
@@ -305,6 +312,21 @@ int check_prometheus(const std::string& path) {
       buckets[family][sample.series_key].emplace_back(sample.le, sample.value);
     } else if (is_count) {
       counts[family][sample.series_key] = sample.value;
+    }
+    if (sample.name == "mcb_http_requests_total") {
+      ledger[sample.route].first += sample.value;
+    } else if (sample.name == "mcb_http_request_duration_seconds_count") {
+      ledger[sample.route].second = sample.value;
+    }
+  }
+
+  for (const auto& [route, totals] : ledger) {
+    if (totals.first != totals.second) {
+      std::fprintf(stderr,
+                   "  FAIL  route \"%s\": mcb_http_requests_total sums to %g but "
+                   "mcb_http_request_duration_seconds_count is %g\n",
+                   route.c_str(), totals.first, totals.second);
+      ++errors;
     }
   }
 

@@ -41,7 +41,7 @@ constexpr const char* kUsage =
     "  serve        --trace FILE [--port P] [--alpha A] [--model knn|rf]\n"
     "               [--http-threads N] [--http-queue N] [--timeout-ms MS]\n"
     "               [--drain-ms MS] [--http-backlog N] [--max-conns N]\n"
-    "               [--perf auto|off|force] [--profile-hz HZ]\n"
+    "               [--perf auto|off]\n"
     "               [--log-level debug|info|warn|error|off]\n"
     "               [--log-json true|false]\n";
 
@@ -206,22 +206,14 @@ int cmd_serve(const CliFlags& flags) {
       static_cast<int>(flags.get_int("http-backlog", server.listen_backlog));
   server.max_connections = static_cast<std::size_t>(flags.get_int(
       "max-conns", static_cast<std::int64_t>(server.max_connections)));
-  // Self-characterization (DESIGN.md §14): per-span hardware counters
-  // and the /debug/profile sampling rate.
+  // Self-characterization (DESIGN.md §14): per-span hardware counters.
   const std::string perf_mode = flags.get("perf", "auto");
   if (perf_mode == "off") {
     server.perf_mode = ServerConfig::PerfMode::kOff;
-  } else if (perf_mode == "force") {
-    server.perf_mode = ServerConfig::PerfMode::kForce;
-  } else if (perf_mode == "auto") {
-    server.perf_mode = ServerConfig::PerfMode::kAuto;
-  } else {
-    std::fprintf(stderr, "unknown --perf '%s' (use auto|off|force)\n",
-                 perf_mode.c_str());
+  } else if (perf_mode != "auto") {
+    std::fprintf(stderr, "unknown --perf '%s' (use auto|off)\n%s", perf_mode.c_str(), kUsage);
     return 2;
   }
-  server.profile_hz = static_cast<int>(
-      flags.get_int("profile-hz", static_cast<std::int64_t>(server.profile_hz)));
   // A 10k-connection load test needs more than the usual 1024 soft
   // limit; raise it toward the hard limit before the listener opens.
   const std::uint64_t nofile = raise_nofile_limit(server.max_connections + 256);
@@ -241,10 +233,10 @@ int cmd_serve(const CliFlags& flags) {
               "connections, %llu fd soft limit\n",
               server.listen_backlog, api.server().effective_backlog(),
               server.max_connections, static_cast<unsigned long long>(nofile));
-  std::printf("perf counters: %s (mode %s); GET /debug/profile?seconds=N for\n"
-              "collapsed stacks at %d Hz\n",
+  std::printf("perf counters: %s (mode %s); GET /debug/profile?seconds=N&hz=H for\n"
+              "collapsed stacks\n",
               api.tracer().counters_attached() ? "attached" : "unavailable (latency-only)",
-              perf_mode.c_str(), server.profile_hz);
+              perf_mode.c_str());
   std::printf("POST /train to build the first model version; GET /metrics for\n"
               "server-side counters and latency (add ?format=prometheus for the\n"
               "text exposition); GET /healthz, /readyz, /debug/requests for\n"
@@ -264,8 +256,8 @@ int main(int argc, char** argv) {
       argc - 1, argv + 1,
       {"out", "trace", "jobs-per-day", "seed", "extended", "model", "alpha", "beta",
        "theta", "sampling", "port", "registry", "http-threads", "http-queue",
-       "timeout-ms", "drain-ms", "http-backlog", "max-conns", "perf", "profile-hz",
-       "log-level", "log-json"},
+       "timeout-ms", "drain-ms", "http-backlog", "max-conns", "perf", "log-level",
+       "log-json"},
       kUsage);
   if (!flags.has_value()) return 2;
   if (flags->help_requested()) return 0;
