@@ -7,8 +7,8 @@
 // lower; the orderings are the reproduced shape.)
 //
 // The second section measures the batched serving fast path
-// (DESIGN.md §8): flat-forest RF, tiled KNN and the canonical-text
-// embedding cache against their scalar reference implementations,
+// (DESIGN.md §8): flat-forest RF, the brute-force KNN scan and the
+// canonical-text embedding cache against their scalar references,
 // single-threaded so the ratio reflects the kernels and not core count.
 // With --json the headline metrics become the BENCH_inference.json
 // artifact gated by tools/bench_check in the bench-smoke CI job.
@@ -70,8 +70,9 @@ void run_fast_path_section(const WorkloadConfig& workload_config,
 
   RandomForestClassifier rf(bench::paper_rf_config(rf_trees));
   rf.fit(train_x.view(), train_y);
-  // Brute-force reference: the tiled scan with the spatial index
-  // disabled, so knn_batch_speedup keeps measuring the PR 3 kernel.
+  // Brute-force reference: the store's scan over its distinct rows
+  // (norm-expanded dot products) with the spatial index disabled, so
+  // knn_batch_speedup keeps measuring the scan kernel.
   KnnConfig scan_config;
   scan_config.index.mode = KnnIndexMode::kNone;
   KnnClassifier knn(scan_config);
@@ -104,7 +105,7 @@ void run_fast_path_section(const WorkloadConfig& workload_config,
   const double n = static_cast<double>(n_query);
   const double rf_speedup = rf_scalar_s / rf_batched_s;
   const double knn_speedup = knn_scalar_s / knn_batched_s;
-  // Gated vs the *tiled* scan — the strongest brute-force baseline we
+  // Gated vs the batched brute-force scan — the strongest baseline we
   // have, not the scalar strawman.
   const double knn_index_speedup = knn_batched_s / knn_index_s;
   const double encode_speedup = encode_cold_s / encode_cached_s;
@@ -121,7 +122,7 @@ void run_fast_path_section(const WorkloadConfig& workload_config,
   std::snprintf(scalar_s, sizeof(scalar_s), "%.4f", knn_scalar_s);
   std::snprintf(batched_s, sizeof(batched_s), "%.4f", knn_batched_s);
   std::snprintf(speedup_s, sizeof(speedup_s), "x%.2f", knn_speedup);
-  table.add_row({"KNN (tiled scan)", scalar_s, batched_s, speedup_s, knn_match ? "OK" : "MISMATCH"});
+  table.add_row({"KNN (brute-force scan)", scalar_s, batched_s, speedup_s, knn_match ? "OK" : "MISMATCH"});
   std::snprintf(scalar_s, sizeof(scalar_s), "%.4f", knn_batched_s);
   std::snprintf(batched_s, sizeof(batched_s), "%.4f", knn_index_s);
   std::snprintf(speedup_s, sizeof(speedup_s), "x%.2f", knn_index_speedup);

@@ -164,7 +164,6 @@ MCB_HOT_PATH Span::~Span() {
   }
   trace_->stage_ns_[index] += elapsed;
   ++trace_->stage_calls_[index];
-  trace_->tracer_->record_stage(stage_, elapsed);
 }
 
 RequestTracer::RequestTracer() : clock_(&steady_now_ns) {
@@ -208,14 +207,15 @@ TraceContext RequestTracer::make_trace(std::string_view client_id) {
   return trace;
 }
 
-void RequestTracer::record_stage(Stage stage, std::uint64_t ns) noexcept {
-  stages_[static_cast<std::size_t>(stage)].record(ns);
-}
-
 void RequestTracer::finish(TraceContext& trace, int status, std::string_view route) {
   const std::uint64_t end_ns = now_ns();
   const std::uint64_t total =
       end_ns >= trace.start_ns_ ? end_ns - trace.start_ns_ : 0;
+
+  // One sample per stage the request touched: its time in that stage.
+  for (std::size_t s = 0; s < kStageCount; ++s) {
+    if (trace.stage_calls_[s] != 0) stages_[s].record(trace.stage_ns_[s]);
+  }
 
   // Flush the request's counter deltas into the process totals once per
   // request (spans accumulate into the unsynchronized trace arrays).

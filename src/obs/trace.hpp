@@ -6,14 +6,17 @@
 // is adopted from an X-Request-Id header or generated) and installs it
 // as the thread's current trace (TraceScope). Any code on that thread —
 // the router, the handler, the encoder, the classifier — opens a
-// Span(stage) that measures steady-clock time into the context's stage
-// slot and the tracer's per-stage histogram (obs::LatencyHistogram, the
-// bucket ladder the server's route ledger shares). When no trace is
+// Span(stage) that adds steady-clock time to the context's stage slot;
+// a span touches nothing shared. finish() then records each stage the
+// request touched, once, into the tracer's per-stage histogram
+// (obs::LatencyHistogram, the bucket ladder the server's route ledger
+// shares): one sample is one request's time in that stage, and a stage's
+// count is the number of requests that reached it. When no trace is
 // current (training workflows, benchmarks, tests calling library code
 // directly), a Span costs one thread-local load and a branch — the
 // disabled-span overhead is gated at <= ~20 ns by bench_check.
 //
-// finish() feeds the flight recorder: 4 mutex-sharded rings of 32
+// finish() also feeds the flight recorder: 4 mutex-sharded rings of 32
 // fixed-size slots (no allocation beyond copying into the pre-sized
 // slot) that keep the last 128 traces that were slow (>= 10 ms) or
 // errored (status >= 400), with per-stage breakdowns, served as JSON by
@@ -170,15 +173,12 @@ class RequestTracer final : public Collector {
   /// the client's ID, otherwise a process-unique one is generated.
   TraceContext make_trace(std::string_view client_id = {});
 
-  /// Complete a trace: flushes its counter deltas into the totals and
-  /// feeds the flight recorder when the request was slow or errored.
+  /// Complete a trace: records one sample per stage the trace touched
+  /// (its summed span time), flushes its counter deltas into the totals
+  /// and feeds the flight recorder when the request was slow or errored.
   /// `route` is the bounded route key ("POST /predict" or
   /// "(unmatched)"), never the raw attacker-controlled path.
   void finish(TraceContext& trace, int status, std::string_view route);
-
-  /// Record a stage sample into the histograms without a trace context
-  /// (used by Span; exposed for tests).
-  void record_stage(Stage stage, std::uint64_t ns) noexcept;
 
   /// Current steady time through the clock seam, in ns. With the
   /// built-in clock this is fast_now_ns() — the calibrated invariant-TSC

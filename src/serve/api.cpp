@@ -1,7 +1,11 @@
 #include "serve/api.hpp"
 
+#include <array>
 #include <cmath>
 #include <limits>
+#include <type_traits>
+#include <utility>
+#include <variant>
 
 #include "obs/build_info.hpp"
 #include "obs/log.hpp"
@@ -13,7 +17,7 @@ namespace mcb {
 
 Json job_to_json(const JobRecord& job) {
   Json out = Json::object();
-  out.set("job_id", static_cast<std::int64_t>(job.job_id));
+  out.set("job_id", job.job_id);
   out.set("user_name", job.user_name);
   out.set("job_name", job.job_name);
   out.set("environment", job.environment);
@@ -36,61 +40,300 @@ Json job_to_json(const JobRecord& job) {
 
 namespace {
 
-/// Reads integer member `key` into `out`; a non-number (or absent)
-/// member leaves `out` at its default. A value outside T, which a cast
-/// would silently wrap or truncate, fails with a message in `error`.
+/// How a submitted job's member lands in its JobRecord.
+enum class FieldKind : std::uint8_t {
+  kText,        ///< a string; any other JSON type reads as ""
+  kName,        ///< kText that must not be empty ("missing <name>")
+  kInteger,     ///< an integer within the member's type, else "<name> is out of range"
+  kAllocation,  ///< kInteger defaulting to nodes_requested, which must be positive first
+  kFrequency,   ///< MHz; boost at or above 2200 (absent: 2000, normal)
+  kReal,        ///< a double; any other JSON type reads as 0
+};
+
+struct JobField {
+  std::string_view name;
+  FieldKind kind;
+  std::string JobRecord::*text = nullptr;  ///< kText, kName
+  double JobRecord::*real = nullptr;       ///< kReal
+  bool (*store)(JobRecord&, const JsonNumber&) = nullptr;  ///< kInteger, kAllocation
+};
+
+/// `value` as a T: an integer within T, or a double that rounds into T
+/// and stays below 2^53 in magnitude, where doubles hold every integer
+/// exactly. Anything else (a literal past uint64_t, 1e20) has no exact T.
 template <typename T>
-bool read_int(const Json& json, const char* key, T& out, std::string* error) {
-  const Json& value = json[key];
-  if (!value.is_number()) return true;
-  const double rounded = std::round(value.as_double());
-  // max() + 1.0 is exact below 2^53 and rounds to 2^64 / 2^63 for the
-  // 64-bit types, so `<` is the true upper bound for every T (NaN fails).
-  if (rounded >= static_cast<double>(std::numeric_limits<T>::min()) &&
-      rounded < static_cast<double>(std::numeric_limits<T>::max()) + 1.0) {
-    out = static_cast<T>(rounded);
-    return true;
+std::optional<T> exact_integer(const JsonNumber& value) {
+  return std::visit(
+      [](auto number) -> std::optional<T> {
+        if constexpr (std::is_integral_v<decltype(number)>) {
+          if (std::in_range<T>(number)) return static_cast<T>(number);
+        } else {
+          const double rounded = std::round(number);
+          // NaN fails the first test.
+          if (std::abs(rounded) < 0x1p53 &&
+              std::in_range<T>(static_cast<std::int64_t>(rounded))) {
+            return static_cast<T>(rounded);
+          }
+        }
+        return std::nullopt;
+      },
+      value);
+}
+
+template <auto Member>
+bool store_integer(JobRecord& job, const JsonNumber& value) {
+  auto& out = job.*Member;
+  const auto integer = exact_integer<std::remove_reference_t<decltype(out)>>(value);
+  if (integer.has_value()) out = *integer;
+  return integer.has_value();
+}
+
+/// Every member a job may carry, in the order its errors are reported.
+/// A member that is absent, or of another JSON type than its kind reads,
+/// keeps the default; unknown members are ignored.
+constexpr JobField kJobFields[] = {
+    {"user_name", FieldKind::kText, &JobRecord::user_name},
+    {"job_name", FieldKind::kName, &JobRecord::job_name},
+    {"environment", FieldKind::kText, &JobRecord::environment},
+    {"job_id", FieldKind::kInteger, nullptr, nullptr, &store_integer<&JobRecord::job_id>},
+    {"nodes_requested", FieldKind::kInteger, nullptr, nullptr,
+     &store_integer<&JobRecord::nodes_requested>},
+    {"cores_requested", FieldKind::kInteger, nullptr, nullptr,
+     &store_integer<&JobRecord::cores_requested>},
+    {"submit_time", FieldKind::kInteger, nullptr, nullptr,
+     &store_integer<&JobRecord::submit_time>},
+    {"start_time", FieldKind::kInteger, nullptr, nullptr,
+     &store_integer<&JobRecord::start_time>},
+    {"end_time", FieldKind::kInteger, nullptr, nullptr, &store_integer<&JobRecord::end_time>},
+    {"exit_status", FieldKind::kInteger, nullptr, nullptr,
+     &store_integer<&JobRecord::exit_status>},
+    {"nodes_allocated", FieldKind::kAllocation, nullptr, nullptr,
+     &store_integer<&JobRecord::nodes_allocated>},
+    {"frequency_mhz", FieldKind::kFrequency},
+    {"perf2", FieldKind::kReal, nullptr, &JobRecord::perf2},
+    {"perf3", FieldKind::kReal, nullptr, &JobRecord::perf3},
+    {"perf4", FieldKind::kReal, nullptr, &JobRecord::perf4},
+    {"perf5", FieldKind::kReal, nullptr, &JobRecord::perf5},
+    {"perf6", FieldKind::kReal, nullptr, &JobRecord::perf6},
+    {"avg_power_watts", FieldKind::kReal, nullptr, &JobRecord::avg_power_watts},
+};
+constexpr std::size_t kJobFieldCount = std::size(kJobFields);
+static_assert(kJobFieldCount <= 32, "JobDraft keeps one bit per field");
+
+/// The slot of member name `key` in kFieldSlots: a hash of its first,
+/// middle and last byte, which no two kJobFields names share (checked
+/// below), so a member is found with one name comparison.
+constexpr std::size_t field_slot(std::string_view key) {
+  const auto byte = [key](std::size_t i) { return static_cast<unsigned char>(key[i]); };
+  return (byte(0) + 2U * byte(key.size() / 2) + byte(key.size() - 1)) % 64;
+}
+
+struct FieldSlots {
+  std::array<std::uint8_t, 64> field{};  ///< kJobFields index, or kJobFieldCount
+  bool collision = false;
+};
+
+constexpr FieldSlots kFieldSlots = [] {
+  FieldSlots slots;
+  slots.field.fill(kJobFieldCount);
+  for (std::size_t i = 0; i < kJobFieldCount; ++i) {
+    std::uint8_t& slot = slots.field[field_slot(kJobFields[i].name)];
+    slots.collision |= slot != kJobFieldCount;
+    slot = static_cast<std::uint8_t>(i);
   }
-  if (error != nullptr) *error = std::string(key) + " is out of range";
-  return false;
+  return slots;
+}();
+static_assert(!kFieldSlots.collision, "two job fields share a slot; change field_slot");
+
+/// The kJobFields index of member `key`, or kJobFieldCount.
+std::size_t find_job_field(std::string_view key) {
+  if (key.empty()) return kJobFieldCount;
+  const std::size_t i = kFieldSlots.field[field_slot(key)];
+  return i < kJobFieldCount && kJobFields[i].name == key ? i : kJobFieldCount;
+}
+
+/// One job's members as read, before the checks: text lands in `job`
+/// directly, numbers wait in `numbers` for finish_job. A member read once
+/// is `seen`; a repeat is ignored, so the first of repeated keys wins,
+/// as in Json::parse.
+struct JobDraft {
+  JobRecord job;
+  std::array<JsonNumber, kJobFieldCount> numbers{};
+  std::uint32_t seen = 0;
+  std::uint32_t numeric = 0;  ///< bit i: member i was a number
+};
+
+/// Applies kJobFields in order to `draft`; the first failing check names
+/// the error.
+std::optional<JobRecord> finish_job(JobDraft& draft, std::string* error) {
+  const auto fail = [error](std::string message) -> std::optional<JobRecord> {
+    if (error != nullptr) *error = std::move(message);
+    return std::nullopt;
+  };
+  JobRecord& job = draft.job;
+  for (std::size_t i = 0; i < kJobFieldCount; ++i) {
+    const JobField& field = kJobFields[i];
+    const JsonNumber* number = (draft.numeric >> i & 1U) != 0 ? &draft.numbers[i] : nullptr;
+    switch (field.kind) {
+      case FieldKind::kText: break;
+      case FieldKind::kName:
+        if ((job.*field.text).empty()) return fail("missing " + std::string(field.name));
+        break;
+      case FieldKind::kAllocation:
+        if (job.nodes_requested == 0 || job.cores_requested == 0) {
+          return fail("nodes/cores must be positive");
+        }
+        job.nodes_allocated = job.nodes_requested;
+        [[fallthrough]];
+      case FieldKind::kInteger:
+        if (number != nullptr && !field.store(job, *number)) {
+          return fail(std::string(field.name) + " is out of range");
+        }
+        break;
+      case FieldKind::kFrequency:
+        job.frequency = (number != nullptr ? json_number_as_int(*number) : 2000) >= 2200
+                            ? FrequencyMode::kBoost
+                            : FrequencyMode::kNormal;
+        break;
+      case FieldKind::kReal:
+        job.*field.real = number != nullptr ? json_number_as_double(*number) : 0.0;
+        break;
+    }
+  }
+  return std::move(job);
+}
+
+/// Reads the job object at the reader's position into `draft`. `key` is
+/// a buffer reused for member names.
+bool read_job(JsonReader& reader, JobDraft& draft, std::string& key) {
+  if (!reader.begin_object()) return false;
+  while (reader.next_member(&key)) {
+    const std::size_t i = find_job_field(key);
+    Json::Type type = Json::Type::Null;
+    if (i == kJobFieldCount || (draft.seen >> i & 1U) != 0 || !reader.peek(type)) {
+      if (!reader.skip_value()) return false;
+      continue;
+    }
+    const std::uint32_t bit = 1U << i;
+    draft.seen |= bit;
+    const JobField& field = kJobFields[i];
+    const bool text = field.text != nullptr;
+    if (text && type == Json::Type::String) {
+      if (!reader.read_string(&(draft.job.*field.text))) return false;
+    } else if (!text && type == Json::Type::Number) {
+      if (!reader.read_number(&draft.numbers[i])) return false;
+      draft.numeric |= bit;
+    } else if (!reader.skip_value()) {
+      return false;
+    }
+  }
+  return reader.ok();
 }
 
 }  // namespace
 
 std::optional<JobRecord> job_from_json(const Json& json, std::string* error) {
-  const auto fail = [error](const std::string& message) -> std::optional<JobRecord> {
-    if (error != nullptr) *error = message;
+  if (!json.is_object()) {
+    if (error != nullptr) *error = "job must be a JSON object";
     return std::nullopt;
+  }
+  JobDraft draft;
+  for (const auto& [key, value] : json.as_object()) {
+    const std::size_t i = find_job_field(key);
+    if (i == kJobFieldCount) continue;
+    const JobField& field = kJobFields[i];
+    if (field.text != nullptr) {
+      draft.job.*field.text = value.as_string();
+    } else if (const JsonNumber* number = value.as_number()) {
+      draft.numbers[i] = *number;
+      draft.numeric |= 1U << i;
+    }
+  }
+  return finish_job(draft, error);
+}
+
+std::optional<JobRecord> decode_job_body(std::string_view body, std::string* error) {
+  JsonReader reader(body);
+  JobDraft draft;
+  std::string key;
+  Json::Type type = Json::Type::Null;
+  const bool object = reader.peek(type) && type == Json::Type::Object;
+  if (!(object ? read_job(reader, draft, key) : reader.skip_value()) || !reader.end()) {
+    if (error != nullptr) *error = "invalid JSON: " + reader.error();
+    return std::nullopt;
+  }
+  if (!object) {
+    if (error != nullptr) *error = "job must be a JSON object";
+    return std::nullopt;
+  }
+  return finish_job(draft, error);
+}
+
+bool decode_batch_body(std::string_view body, std::vector<JobRecord>& jobs, int& status,
+                       std::string* error) {
+  const auto fail = [&](int code, std::string message) {
+    jobs.clear();
+    status = code;
+    if (error != nullptr) *error = std::move(message);
+    return false;
   };
-  if (!json.is_object()) return fail("job must be a JSON object");
-  JobRecord job;
-  job.user_name = json["user_name"].as_string();
-  job.job_name = json["job_name"].as_string();
-  if (job.job_name.empty()) return fail("missing job_name");
-  job.environment = json["environment"].as_string();
-  if (!read_int(json, "job_id", job.job_id, error) ||
-      !read_int(json, "nodes_requested", job.nodes_requested, error) ||
-      !read_int(json, "cores_requested", job.cores_requested, error) ||
-      !read_int(json, "submit_time", job.submit_time, error) ||
-      !read_int(json, "start_time", job.start_time, error) ||
-      !read_int(json, "end_time", job.end_time, error) ||
-      !read_int(json, "exit_status", job.exit_status, error)) {
-    return std::nullopt;
+  jobs.clear();
+  JsonReader reader(body);
+  std::string key;
+  bool have_jobs = false;  // the first "jobs" member was seen
+  bool jobs_array = false;
+  std::size_t count = 0;
+  std::optional<std::size_t> bad_job;  // index of the first job that fails its checks
+  std::string job_error;
+  Json::Type type = Json::Type::Null;
+  if (reader.peek(type) && type == Json::Type::Object && reader.begin_object()) {
+    while (reader.next_member(&key)) {
+      if (have_jobs || key != "jobs" || !reader.peek(type) || type != Json::Type::Array) {
+        have_jobs = have_jobs || key == "jobs";
+        if (!reader.skip_value()) break;
+        continue;
+      }
+      have_jobs = jobs_array = true;
+      if (!reader.begin_array()) break;
+      while (reader.next_element()) {
+        // Past the batch cap or the first bad job the answer is fixed;
+        // the rest of the body is only checked.
+        if (count >= kMaxClassifyBatch || bad_job.has_value()) {
+          if (!reader.skip_value()) break;
+        } else if (!reader.peek(type)) {
+          break;
+        } else if (type != Json::Type::Object) {
+          if (!reader.skip_value()) break;
+          bad_job = count;
+          job_error = "job must be a JSON object";
+        } else {
+          JobDraft draft;
+          if (!read_job(reader, draft, key)) break;
+          auto job = finish_job(draft, &job_error);
+          if (job.has_value()) {
+            jobs.push_back(std::move(*job));
+          } else {
+            bad_job = count;
+          }
+        }
+        ++count;
+      }
+      if (!reader.ok()) break;
+    }
+  } else if (reader.ok()) {
+    (void)reader.skip_value();  // not an object: a failure shows in end()
   }
-  if (job.nodes_requested == 0 || job.cores_requested == 0) {
-    return fail("nodes/cores must be positive");
+  if (!reader.end()) return fail(400, "invalid JSON: " + reader.error());
+  if (!jobs_array) return fail(400, "body must be {\"jobs\": [...]}");
+  if (count == 0) return fail(400, "jobs must be non-empty");
+  if (count > kMaxClassifyBatch) {
+    return fail(413, "batch too large (max " + std::to_string(kMaxClassifyBatch) + " jobs)");
   }
-  job.nodes_allocated = job.nodes_requested;
-  if (!read_int(json, "nodes_allocated", job.nodes_allocated, error)) return std::nullopt;
-  job.frequency = json["frequency_mhz"].as_int(2000) >= 2200 ? FrequencyMode::kBoost
-                                                             : FrequencyMode::kNormal;
-  job.perf2 = json["perf2"].as_double(0.0);
-  job.perf3 = json["perf3"].as_double(0.0);
-  job.perf4 = json["perf4"].as_double(0.0);
-  job.perf5 = json["perf5"].as_double(0.0);
-  job.perf6 = json["perf6"].as_double(0.0);
-  job.avg_power_watts = json["avg_power_watts"].as_double(0.0);
-  return job;
+  if (bad_job.has_value()) {
+    return fail(400, "jobs[" + std::to_string(*bad_job) + "]: " + job_error);
+  }
+  status = 200;
+  return true;
 }
 
 namespace {
@@ -122,18 +365,16 @@ HttpResponse model_response(const ModelSnapshot& snapshot, const Json& body) {
 }
 
 std::optional<JobRecord> parse_job_body(const HttpRequest& request, HttpResponse& error) {
-  std::string parse_error;
-  const auto json = Json::parse(request.body, &parse_error);
-  if (!json.has_value()) {
-    error = error_response(400, "invalid JSON: " + parse_error);
-    return std::nullopt;
-  }
-  const auto job = job_from_json(*json, &parse_error);
-  if (!job.has_value()) {
-    error = error_response(400, parse_error);
-    return std::nullopt;
-  }
+  std::string message;
+  auto job = decode_job_body(request.body, &message);
+  if (!job.has_value()) error = error_response(400, message);
   return job;
+}
+
+/// True when Framework::train_now's `now - window` is defined.
+bool window_start_defined(TimePoint now, std::int64_t window) {
+  return window >= 0 ? now >= std::numeric_limits<TimePoint>::min() + window
+                     : now <= std::numeric_limits<TimePoint>::max() + window;
 }
 
 /// The served KNN model's store stats; all zero (mode "none") while no
@@ -536,44 +777,21 @@ HttpResponse ApiServer::handle_predict(const HttpRequest& request) {
   const auto labels = framework_.predict_batch(*snapshot, {&*job, 1});
   if (labels.empty()) return error_response(500, "prediction failed");
   Json body = Json::object();
-  body.set("job_id", static_cast<std::int64_t>(job->job_id));
+  body.set("job_id", job->job_id);
   body.set("label", boundedness_name(to_boundedness(labels.front())));
   return model_response(*snapshot, body);
 }
 
 HttpResponse ApiServer::handle_classify_batch(const HttpRequest& request) {
-  // Caps the per-request work so one request cannot monopolize the
-  // connection executor past the server's socket timeouts.
-  constexpr std::size_t kMaxBatch = 4096;
-
-  std::string parse_error;
-  std::optional<Json> json;
-  {
-    obs::Span parse_span(obs::Stage::kParse);
-    json = Json::parse(request.body, &parse_error);
-  }
-  if (!json.has_value()) return error_response(400, "invalid JSON: " + parse_error);
-  if (!json->is_object() || !json->contains("jobs") || !(*json)["jobs"].is_array()) {
-    return error_response(400, "body must be {\"jobs\": [...]}");
-  }
-  const JsonArray& list = (*json)["jobs"].as_array();
-  if (list.empty()) return error_response(400, "jobs must be non-empty");
-  if (list.size() > kMaxBatch) {
-    return error_response(413, "batch too large (max " + std::to_string(kMaxBatch) + " jobs)");
-  }
-
   std::vector<JobRecord> jobs;
-  jobs.reserve(list.size());
+  int status = 0;
+  std::string message;
+  bool decoded = false;
   {
     obs::Span parse_span(obs::Stage::kParse);
-    for (std::size_t i = 0; i < list.size(); ++i) {
-      const auto job = job_from_json(list[i], &parse_error);
-      if (!job.has_value()) {
-        return error_response(400, "jobs[" + std::to_string(i) + "]: " + parse_error);
-      }
-      jobs.push_back(*job);
-    }
+    decoded = decode_batch_body(request.body, jobs, status, &message);
   }
+  if (!decoded) return error_response(status, message);
 
   const auto snapshot = framework_.snapshot();
   if (snapshot == nullptr) return error_response(503, "no trained model; POST /train first");
@@ -598,11 +816,23 @@ HttpResponse ApiServer::handle_train(const HttpRequest& request) {
   std::string parse_error;
   const auto json = Json::parse(request.body.empty() ? "{}" : request.body, &parse_error);
   if (!json.has_value()) return error_response(400, "invalid JSON: " + parse_error);
+  TimePoint now = 0;
+  if (json->contains("now")) {
+    const JsonNumber* number = (*json)["now"].as_number();
+    if (number == nullptr) return error_response(400, "now must be an integer (epoch seconds)");
+    const auto value = exact_integer<TimePoint>(*number);
+    const std::int64_t window =
+        static_cast<std::int64_t>(framework_.config().alpha_days) * kSecondsPerDay;
+    if (!value.has_value() || !window_start_defined(*value, window)) {
+      return error_response(400, "now is out of range");
+    }
+    now = *value;
+  } else {
+    now = framework_.store().max_end_time() + 1;
+  }
   if (training_.exchange(true)) return error_response(409, "training already in progress");
   const ClearOnExit admitted(training_);
 
-  const TimePoint now = json->contains("now") ? (*json)["now"].as_int()
-                                              : framework_.store().max_end_time() + 1;
   const TrainingReport report = framework_.train_now(now);
   if (report.jobs_used == 0) {
     log::warn("api", "training window empty; no model produced",

@@ -32,13 +32,23 @@
 // and /classify_batch run the batched inference fast path: embeddings
 // come from the Framework's sharded canonical-text LRU cache, the one
 // /train also encodes through (recurring job names hit without
-// encoding), and the whole batch goes through the flat-forest /
-// tiled-KNN kernels in one pool dispatch.
+// encoding), and the whole batch goes through the flat-forest / KNN
+// store kernels in one pool dispatch.
+//
+// Request bodies: the job endpoints decode their JSON in one pass
+// (decode_job_body / decode_batch_body below) through util/json's
+// JsonReader and one job-field table, with no Json tree. Every JSON
+// body is bounded by JsonReader::kMaxDepth and keeps integers exact; a
+// body the API cannot use gets 400 with the first problem named.
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <string>
+#include <string_view>
+#include <vector>
 
 #include "core/mcbound.hpp"
 #include "obs/metrics.hpp"
@@ -49,11 +59,31 @@
 
 namespace mcb {
 
-/// JSON <-> JobRecord conversion used by the API (exposed for tests).
-/// job_from_json rejects an integer outside its field's type (the API
-/// answers 400) instead of wrapping or truncating it.
+/// Most jobs one POST /classify_batch may carry (413 above): caps the
+/// per-request work so one request cannot hold a handler thread past the
+/// server's socket timeouts.
+inline constexpr std::size_t kMaxClassifyBatch = 4096;
+
+/// JSON <-> JobRecord conversion. One table in api.cpp fixes each job
+/// member's name, type, range and default and the order in which errors
+/// are reported; every decoder below goes through it. An integer member
+/// takes an integer that fits its type exactly (or a double below 2^53,
+/// rounded); anything else is "<member> is out of range" rather than a
+/// wrapped or truncated value.
 Json job_to_json(const JobRecord& job);
+/// Decodes a parsed job object, walking its members once.
 std::optional<JobRecord> job_from_json(const Json& json, std::string* error = nullptr);
+
+/// Request-body decoders of /predict, /characterize, /encode (one job
+/// object) and /classify_batch ({"jobs":[...]}). They read the body in one
+/// pass through JsonReader, with no Json tree, and fail with exactly the
+/// message (and, for a batch, the status) that Json::parse +
+/// job_from_json would give: "invalid JSON: ..." first, then the body's
+/// shape, an empty batch, a batch above kMaxClassifyBatch (413), and the
+/// first bad job as "jobs[i]: ...". A failed batch leaves `jobs` empty.
+std::optional<JobRecord> decode_job_body(std::string_view body, std::string* error = nullptr);
+bool decode_batch_body(std::string_view body, std::vector<JobRecord>& jobs, int& status,
+                       std::string* error = nullptr);
 
 /// Binds the MCBound operations onto an HttpServer. The framework must
 /// outlive the ApiServer.

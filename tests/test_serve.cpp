@@ -5,6 +5,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
 #include <unistd.h>
@@ -14,10 +15,12 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <future>
 #include <limits>
 #include <map>
 #include <thread>
+#include <tuple>
 
 #include "serve/api.hpp"
 #include "serve/http.hpp"
@@ -871,6 +874,190 @@ TEST(JobJson, DefaultsAndValidation) {
   EXPECT_EQ(widest->cores_requested, std::numeric_limits<std::uint32_t>::max());
   EXPECT_EQ(widest->exit_status, std::numeric_limits<std::int32_t>::min());
   EXPECT_EQ(widest->job_id, 9007199254740992U);
+
+  // Integers decode exactly or not at all: 2^53 + 1 up to 2^64 - 1 are
+  // kept to the unit (the job_id range the CSV loader accepts too); 2^64
+  // and 1e20 have no exact job_id.
+  for (const std::uint64_t id : {9007199254740993ULL, 9223372036854775807ULL,
+                                 9223372036854775808ULL, 18446744073709551615ULL}) {
+    const std::string body = R"({"job_name":"x","job_id":)" + std::to_string(id) + "}";
+    const auto exact = job_from_json(*Json::parse(body), &error);
+    ASSERT_TRUE(exact.has_value()) << error;
+    EXPECT_EQ(exact->job_id, id);
+    EXPECT_EQ(job_to_json(*exact)["job_id"].dump(), std::to_string(id));
+  }
+  for (const char* body : {R"({"job_name":"x","job_id":18446744073709551616})",
+                           R"({"job_name":"x","job_id":1e20})"}) {
+    error.clear();
+    EXPECT_FALSE(job_from_json(*Json::parse(body), &error).has_value()) << body;
+    EXPECT_EQ(error, "job_id is out of range") << body;
+  }
+  // The existing checks keep their messages.
+  const std::pair<const char*, const char*> messages[] = {
+      {R"({})", "missing job_name"},
+      {R"({"job_name":"x","nodes_requested":0})", "nodes/cores must be positive"},
+      {R"([1,2,3])", "job must be a JSON object"},
+      {R"({"job_name":"x","cores_requested":4294967344})", "cores_requested is out of range"},
+      {R"({"job_name":"x","nodes_allocated":-1})", "nodes_allocated is out of range"},
+  };
+  for (const auto& [body, message] : messages) {
+    EXPECT_FALSE(job_from_json(*Json::parse(body), &error).has_value()) << body;
+    EXPECT_EQ(error, message) << body;
+  }
+}
+
+/// Bytes of address space the process maps now (/proc/self/statm).
+std::size_t mapped_bytes() {
+  std::ifstream statm("/proc/self/statm");
+  std::size_t pages = 0;
+  statm >> pages;
+  return pages * static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+}
+
+/// Runs `work` with the address space capped at what is mapped now plus
+/// `headroom`; false if it ran out of memory.
+bool fits_in(std::size_t headroom, const std::function<void()>& work) {
+  rlimit saved{};
+  if (::getrlimit(RLIMIT_AS, &saved) != 0) return false;
+  rlimit capped = saved;
+  capped.rlim_cur = std::min<rlim_t>(saved.rlim_max, mapped_bytes() + headroom);
+  if (::setrlimit(RLIMIT_AS, &capped) != 0) return false;
+  bool fits = true;
+  try {
+    work();
+  } catch (const std::bad_alloc&) {
+    fits = false;
+  }
+  ::setrlimit(RLIMIT_AS, &saved);
+  return fits;
+}
+
+TEST(JobJson, SkippedValuesBuildNothing) {
+  // The request decoders keep only the job members they use. What they
+  // skip (unknown members, a repeated "jobs" or job member, a member of
+  // the wrong type, the jobs after a bad one or past the batch cap) is
+  // checked but never built, so a body of the largest accepted size
+  // decodes in a fixed memory budget, however much of it is skipped.
+  // Built as a Json tree with a member vector reserved per object, each
+  // 1 MB pad below would take over 100 MB.
+  constexpr std::size_t kBudget = 64 << 20;
+  std::string pad;
+  while (pad.size() < (1U << 20)) {
+    pad += R"({},{},{},{},{},{},{},{},[[]],{"k":"v\u00e9","n":-1.5e3,"t":[true,null]},)";
+  }
+  pad += "{}";
+  const std::string one = R"({"job_name":"x","perf2":[)" + pad + R"(],"u":{"v":[)" + pad +
+                          R"(]},"job_name":[)" + pad + "]}";
+  std::optional<JobRecord> job;
+  EXPECT_TRUE(fits_in(kBudget, [&] { job = decode_job_body(one); }));
+  ASSERT_TRUE(job.has_value());
+  EXPECT_EQ(job->job_name, "x");
+
+  std::string full_batch;
+  for (std::size_t i = 0; i < kMaxClassifyBatch; ++i) full_batch += R"({"job_name":"x"},)";
+  const std::string batches[] = {
+      R"({"pad":[)" + pad + R"(],"jobs":[{"job_name":"x","extra":[)" + pad +
+          R"(],"job_name":[)" + pad + R"(]}],"jobs":[)" + pad + "]}",
+      R"({"jobs":[{"job_name":"x","job_id":-1},{"job_name":"y","x":[)" + pad + "]},[" + pad +
+          "],[" + pad + "]]}",
+      R"({"jobs":[)" + full_batch + pad + "," + pad + "]}",
+  };
+  const std::pair<int, std::string> answers[] = {
+      {200, ""},
+      {400, "jobs[0]: job_id is out of range"},
+      {413, "batch too large (max 4096 jobs)"},
+  };
+  for (std::size_t i = 0; i < std::size(batches); ++i) {
+    std::vector<JobRecord> jobs;
+    int status = 0;
+    std::string error;
+    bool decoded = false;
+    const auto decode = [&] { decoded = decode_batch_body(batches[i], jobs, status, &error); };
+    EXPECT_TRUE(fits_in(kBudget, decode)) << i;
+    EXPECT_EQ(decoded, status == 200) << i;
+    EXPECT_EQ(status, answers[i].first) << i;
+    EXPECT_EQ(error, answers[i].second) << i;
+  }
+
+  // Json::parse (the /train body) builds what it reads, but an empty
+  // object costs only its slot in the array: about 32 MB at the peak for
+  // 1 MB of "{},", where a member vector reserved per object would take
+  // 400 MB.
+  std::string empties = "[{}";
+  while (empties.size() < (1U << 20)) empties += ",{}";
+  empties += "]";
+  std::optional<Json> parsed;
+  EXPECT_TRUE(fits_in(2 * kBudget, [&] { parsed = Json::parse(empties); }));
+  EXPECT_TRUE(parsed.has_value());
+}
+
+TEST(JobJson, OnePassDecodeMatchesTheDom) {
+  // The request decoders read the body once, without a Json tree; they
+  // must agree with Json::parse + job_from_json on every job and error.
+  const char* bodies[] = {
+      R"({"job_name":"a","job_name":"b","nodes_requested":2,"nodes_requested":0})",
+      R"({"job_name":5,"job_name":"late"})",
+      R"({"extra":{"deep":[1,{"x":null}]},"job_name":"j\u00e9\n","perf2":1e3,"frequency_mhz":2200})",
+      R"({"job_name":"x","job_id":9007199254740993,"exit_status":-1,"avg_power_watts":7})",
+      R"({"job_name":"x","nodes_requested":"3","cores_requested":2.6})",
+      R"({"job_name":"x","end_time":1e300})",
+      R"({"job_name":"x",})",
+      R"([{"job_name":"x"}])",
+      R"({"job_name":"x"} trailing)",
+  };
+  for (const char* body : bodies) {
+    std::string dom_error;
+    std::string pass_error;
+    const auto json = Json::parse(body, &dom_error);
+    std::optional<JobRecord> dom;
+    if (json.has_value()) {
+      dom = job_from_json(*json, &dom_error);
+    } else {
+      dom_error = "invalid JSON: " + dom_error;
+    }
+    const auto pass = decode_job_body(body, &pass_error);
+    ASSERT_EQ(dom.has_value(), pass.has_value()) << body;
+    if (!dom.has_value()) {
+      EXPECT_EQ(pass_error, dom_error) << body;
+      continue;
+    }
+    EXPECT_EQ(job_to_json(*pass), job_to_json(*dom)) << body;
+    EXPECT_EQ(pass->job_id, dom->job_id) << body;
+  }
+
+  // A batch answers in the same order as before: syntax, shape, empty,
+  // size (413), then the first bad job by index.
+  std::vector<JobRecord> jobs;
+  int status = 0;
+  std::string error;
+  const std::string big = [] {
+    std::string body = R"({"jobs":[)";
+    for (std::size_t i = 0; i <= kMaxClassifyBatch; ++i) body += i > 0 ? ",{}" : "{}";
+    return body + "]}";
+  }();
+  const std::tuple<std::string, int, std::string> cases[] = {
+      {R"({"jobs":[{"user_name":"u"},[)", 400, "invalid JSON: unexpected end of input at offset 28"},
+      {R"({"jobs":"x","jobs":[{"job_name":"a"}]})", 400, R"(body must be {"jobs": [...]})"},
+      {R"([{"job_name":"a"}])", 400, R"(body must be {"jobs": [...]})"},
+      {R"({"jobs":[],"jobs":[{"job_name":"a"}]})", 400, "jobs must be non-empty"},
+      {big, 413, "batch too large (max 4096 jobs)"},
+      {R"({"jobs":[{"job_name":"a"},{"job_name":"b","job_id":-1},7]})", 400,
+       "jobs[1]: job_id is out of range"},
+      {R"({"jobs":[{"job_name":"a"},7],"more":true})", 400, "jobs[1]: job must be a JSON object"},
+  };
+  for (const auto& [body, code, message] : cases) {
+    EXPECT_FALSE(decode_batch_body(body, jobs, status, &error)) << body;
+    EXPECT_EQ(status, code) << body;
+    EXPECT_EQ(error, message) << body;
+  }
+  ASSERT_TRUE(decode_batch_body(
+      R"({"more":[1],"jobs":[{"job_name":"a"},{"job_name":"b","job_id":7}],"jobs":5})", jobs,
+      status, &error))
+      << error;
+  EXPECT_EQ(status, 200);
+  ASSERT_EQ(jobs.size(), 2U);
+  EXPECT_EQ(jobs[1].job_name, "b");
+  EXPECT_EQ(jobs[1].job_id, 7U);
 }
 
 // ---------------------------------------------------------------- API
@@ -1105,6 +1292,56 @@ TEST_F(ApiTest, MalformedJsonIs400) {
   EXPECT_EQ(call("POST", "/train", "[[[").status, 400);
 }
 
+TEST_F(ApiTest, TrainRejectsANowItCannotUse) {
+  // train_now computes now - alpha_days * 86400, which must not overflow;
+  // and a "now" that is no number names no time to train at.
+  for (const char* body : {R"({"now": -9223372036854775808})", R"({"now": 1e300})"}) {
+    const auto response = call("POST", "/train", body);
+    EXPECT_EQ(response.status, 400) << body;
+    EXPECT_EQ((*Json::parse(response.body))["error"].as_string(), "now is out of range");
+  }
+  for (const char* body : {R"({"now": "tomorrow"})", R"({"now": null})"}) {
+    const auto response = call("POST", "/train", body);
+    EXPECT_EQ(response.status, 400) << body;
+    EXPECT_EQ((*Json::parse(response.body))["error"].as_string(),
+              "now must be an integer (epoch seconds)");
+  }
+  EXPECT_FALSE(framework_->has_model());
+  EXPECT_EQ(call("POST", "/train", "{\"now\": " + std::to_string(last_end_ + 10) + "}").status,
+            201);
+}
+
+TEST_F(ApiTest, PredictEchoesAnExactJobId) {
+  ASSERT_EQ(call("POST", "/train", "{\"now\": " + std::to_string(last_end_ + 10) + "}").status,
+            201);
+  const auto response =
+      call("POST", "/predict", R"({"job_name":"stream_app","job_id":9007199254740993})");
+  ASSERT_EQ(response.status, 200);
+  EXPECT_NE(response.body.find(R"("job_id":9007199254740993)"), std::string::npos)
+      << response.body;
+}
+
+TEST_F(ApiTest, DeeplyNestedBodyIs400AndTheServerLives) {
+  // 1 MB of '[' nests far past JsonReader::kMaxDepth; each parse stops at
+  // the cap instead of recursing down the handler thread's stack.
+  ASSERT_TRUE(api_->start(0));
+  const std::string nested(1 << 20, '[');
+  for (const char* path : {"/classify_batch", "/train", "/predict"}) {
+    int status = 0;
+    std::string body;
+    ASSERT_TRUE(http_request(api_->port(), "POST", path, nested, status, body)) << path;
+    EXPECT_EQ(status, 400) << path;
+    EXPECT_EQ((*Json::parse(body))["error"].as_string(),
+              "invalid JSON: nesting too deep at offset 64")
+        << path;
+  }
+  int status = 0;
+  std::string body;
+  ASSERT_TRUE(http_request(api_->port(), "GET", "/healthz", "", status, body));
+  EXPECT_EQ(status, 200);
+  api_->stop();
+}
+
 TEST_F(ApiTest, ModelInfoListsFeatures) {
   const auto response = call("GET", "/model/info");
   EXPECT_EQ(response.status, 200);
@@ -1287,25 +1524,37 @@ TEST_F(ApiTest, JsonAndPrometheusRenderOneSurface) {
 }
 
 TEST_F(ApiTest, RequestTraceAndStageCountsAgree) {
-  // Every dispatch starts one trace, runs one route span and is counted
-  // once in the ledger; read the registry directly so no /metrics
-  // request is in flight while it is gathered.
-  call("GET", "/health");
-  call("GET", "/healthz");
-  call("POST", "/predict", "{not json");
-  call("GET", "/no-such-endpoint");
-  call("DELETE", "/health");
+  // Every request starts one trace, runs one route span and is counted
+  // once in the ledger. Over a socket every request is also parsed, and a
+  // stage records one sample per request that touched it, however many
+  // spans the request opened there (/classify_batch's body decode and the
+  // HTTP parse are both parse time). Read the registry directly, after
+  // the server stopped, so no /metrics request is in flight.
+  ASSERT_TRUE(api_->start(0));
+  const std::pair<const char*, const char*> calls[] = {
+      {"GET", "/health"},          {"GET", "/healthz"}, {"POST", "/predict"},
+      {"GET", "/no-such-endpoint"}, {"DELETE", "/health"}, {"POST", "/classify_batch"}};
+  for (const auto& [method, path] : calls) {
+    int status = 0;
+    std::string body;
+    const std::string request_body =
+        std::string(path) == "/predict" ? "{not json" : R"({"jobs":[{"job_name":"x"}]})";
+    ASSERT_TRUE(http_request(api_->port(), method, path,
+                             std::string(method) == "POST" ? request_body : "", status, body));
+  }
+  api_->stop();
   const Json metrics = obs::render_json(api_->registry().gather());
   double requests = 0.0;
   for (const Json& point : metrics["mcb_http_requests_total"]["points"].as_array()) {
     requests += point["value"].as_double();
   }
-  EXPECT_EQ(requests, 5.0);
+  EXPECT_EQ(requests, 6.0);
   EXPECT_EQ(static_cast<double>(api_->tracer().traces_started()), requests);
-  const Json* route_stage =
-      find_point(metrics, "mcb_stage_duration_seconds", {{"stage", "route"}});
-  ASSERT_NE(route_stage, nullptr);
-  EXPECT_EQ((*route_stage)["count"].as_double(), requests);
+  for (const char* stage : {"route", "parse"}) {
+    const Json* point = find_point(metrics, "mcb_stage_duration_seconds", {{"stage", stage}});
+    ASSERT_NE(point, nullptr) << stage;
+    EXPECT_EQ((*point)["count"].as_double(), requests) << stage;
+  }
 }
 
 TEST_F(ApiTest, OversizedBatchIs413CountedOnce) {

@@ -5,6 +5,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <functional>
 #include <future>
 #include <set>
@@ -452,6 +453,91 @@ TEST(Json, PrettyIsReparseable) {
   const auto parsed = Json::parse(j.pretty());
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(*parsed, j);
+}
+
+TEST(Json, NestingIsCappedAtMaxDepth) {
+  constexpr std::size_t kCap = JsonReader::kMaxDepth;
+  const auto nested = [](std::size_t depth, char open, const std::string& inner, char close) {
+    return std::string(depth, open) + inner + std::string(depth, close);
+  };
+  std::string error;
+  EXPECT_TRUE(Json::parse(nested(kCap, '[', "", ']'), &error).has_value()) << error;
+  EXPECT_FALSE(Json::parse(nested(kCap + 1, '[', "", ']'), &error).has_value());
+  EXPECT_EQ(error, "nesting too deep at offset 64");
+
+  std::string objects = "1";
+  for (std::size_t d = 0; d < kCap; ++d) objects = R"({"a":)" + objects + "}";
+  EXPECT_TRUE(Json::parse(objects, &error).has_value()) << error;
+  EXPECT_FALSE(Json::parse(R"({"a":)" + objects + "}", &error).has_value());
+  EXPECT_EQ(error, "nesting too deep at offset " + std::to_string(5 * kCap));
+
+  // A hostile depth fails the same way, without recursing past the cap.
+  EXPECT_FALSE(Json::parse(std::string(1'000'000, '['), &error).has_value());
+  EXPECT_EQ(error, "nesting too deep at offset 64");
+}
+
+TEST(Json, IntegersStayExact) {
+  EXPECT_EQ(Json::parse("9007199254740993")->as_int(), 9'007'199'254'740'993);
+  EXPECT_EQ(Json::parse("9223372036854775807")->as_int(), INT64_MAX);
+  EXPECT_EQ(Json::parse("-9223372036854775808")->as_int(), INT64_MIN);
+  EXPECT_EQ(Json(std::int64_t{9'007'199'254'740'993}).dump(), "9007199254740993");
+  // Above INT64_MAX up to UINT64_MAX an integer literal stays exact too.
+  EXPECT_EQ(Json::parse("9223372036854775808")->dump(), "9223372036854775808");
+  EXPECT_EQ(Json::parse("18446744073709551615")->dump(), "18446744073709551615");
+  EXPECT_EQ(Json(std::uint64_t{18'446'744'073'709'551'615U}).dump(), "18446744073709551615");
+  EXPECT_EQ(*Json::parse("9223372036854775808"), Json(0x1p63));
+  EXPECT_EQ(Json::parse("9223372036854775808")->as_int(), INT64_MAX);
+  // Past uint64_t, or written as a fraction or exponent: a double.
+  EXPECT_DOUBLE_EQ(Json::parse("18446744073709551616")->as_double(), 0x1p64);
+  EXPECT_DOUBLE_EQ(Json::parse("1e20")->as_double(), 1e20);
+  EXPECT_EQ(Json::parse("1e400")->as_double(), HUGE_VAL);
+  EXPECT_EQ(Json::parse("1e400")->dump(), "null");
+  EXPECT_EQ(Json::parse("-0")->dump(), "0");
+  EXPECT_EQ(Json::parse("007")->as_int(), 7);
+  // Numbers compare by value, whatever their representation.
+  EXPECT_EQ(*Json::parse("2"), *Json::parse("2.0"));
+  EXPECT_EQ(*Json::parse("[-0]"), *Json::parse("[0.0]"));
+  EXPECT_FALSE(*Json::parse("9007199254740993") == *Json::parse("9007199254740992.0"));
+  // Below 2^53 a number prints as before: integral values without decimals.
+  EXPECT_EQ(Json(3.0).dump(), "3");
+  EXPECT_EQ(Json(0.5).dump(), "0.5");
+  EXPECT_EQ(Json(1e16).dump(), "10000000000000000");
+}
+
+TEST(Json, ObjectsKeepTheFirstOfRepeatedKeys) {
+  const auto json = Json::parse(R"({"b":1,"a":2,"b":3,"a":{"x":4}})");
+  ASSERT_TRUE(json.has_value());
+  EXPECT_EQ(json->size(), 2U);
+  EXPECT_EQ((*json)["a"].as_int(), 2);
+  EXPECT_EQ((*json)["b"].as_int(), 1);
+  EXPECT_EQ(json->dump(), R"({"a":2,"b":1})");
+  // set() replaces in place and keeps the members sorted.
+  Json object = Json::object();
+  object.set("z", 1).set("a", 2).set("z", 3);
+  EXPECT_EQ(object.dump(), R"({"a":2,"z":3})");
+}
+
+TEST(Json, ErrorsNameWhatAndWhere) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"", "unexpected end of input at offset 0"},
+      {"[1,]", "invalid number at offset 3"},
+      {"[1 2]", "expected ',' or ']' at offset 4"},
+      {R"({"a" 1})", "expected ':' at offset 6"},
+      {R"({"a":1,})", "expected string at offset 7"},
+      {R"({"a":1)", "unterminated object at offset 6"},
+      {"[1", "unterminated array at offset 2"},
+      {"tru", "invalid literal at offset 0"},
+      {"-", "invalid number at offset 1"},
+      {"+-1", "invalid number at offset 3"},
+      {R"("a\x")", "unknown escape at offset 4"},
+      {R"("\u12G4")", "bad \\u escape at offset 6"},
+      {"12 34", "trailing characters at offset 3"},
+  };
+  for (const auto& [text, expected] : cases) {
+    std::string error;
+    EXPECT_FALSE(Json::parse(text, &error).has_value()) << text;
+    EXPECT_EQ(error, expected) << text;
+  }
 }
 
 class JsonFuzzProperty : public ::testing::TestWithParam<std::uint64_t> {
