@@ -7,6 +7,7 @@
 // around alpha = 30; best settings are (RF, alpha=15, beta=1) and
 // (KNN, alpha=30, beta=1) with F1 0.90 / 0.89.
 #include <cstdio>
+#include <iterator>
 
 #include "bench_common.hpp"
 
@@ -30,28 +31,31 @@ int main(int argc, char** argv) {
   const FeatureEncoder encoder;
   const OnlineEvaluator evaluator(store, characterizer, encoder);
 
-  const int alphas[] = {15, 30, 45, 60};
-  const int betas[] = {1, 2, 5, 10};
+  constexpr int alphas[] = {15, 30, 45, 60};
+  constexpr int betas[] = {1, 2, 5, 10};
+  constexpr std::size_t kAlphas = std::size(alphas);
+  constexpr std::size_t kBetas = std::size(betas);
 
   for (const ModelKind kind : {ModelKind::kKnn, ModelKind::kRandomForest}) {
     std::printf("\n%s — F1-macro (rows: alpha days, columns: beta days)\n\n",
                 kind == ModelKind::kKnn ? "KNN" : "RF");
     TextTable table({"alpha \\ beta", "1", "2", "5", "10"});
+    double f1[kAlphas][kBetas] = {};
     double best_f1 = 0.0;
     int best_alpha = 0, best_beta = 0;
-    for (const int alpha : alphas) {
-      std::vector<std::string> row{std::to_string(alpha)};
-      for (const int beta : betas) {
+    for (std::size_t a = 0; a < kAlphas; ++a) {
+      std::vector<std::string> row{std::to_string(alphas[a])};
+      for (std::size_t b = 0; b < kBetas; ++b) {
         OnlineEvalConfig config;
-        config.alpha_days = alpha;
-        config.beta_days = beta;
+        config.alpha_days = alphas[a];
+        config.beta_days = betas[b];
         const auto result = evaluator.evaluate(bench::model_factory(kind, rf_trees), config);
-        const double f1 = result.f1_macro();
-        row.push_back(format_double(f1, 4));
-        if (f1 > best_f1) {
-          best_f1 = f1;
-          best_alpha = alpha;
-          best_beta = beta;
+        f1[a][b] = result.f1_macro();
+        row.push_back(format_double(f1[a][b], 4));
+        if (f1[a][b] > best_f1) {
+          best_f1 = f1[a][b];
+          best_alpha = alphas[a];
+          best_beta = betas[b];
         }
       }
       table.add_row(std::move(row));
@@ -63,8 +67,13 @@ int main(int argc, char** argv) {
                 best_f1,
                 kind == ModelKind::kKnn ? "alpha=30 beta=1, F1=0.89"
                                         : "alpha=15 beta=1, F1=0.90");
+    std::printf("\nShape checks (staler models score lower):\n");
+    for (std::size_t a = 0; a < kAlphas; ++a) {
+      const double fresh = f1[a][0];
+      const double stale = f1[a][kBetas - 1];
+      std::printf("  alpha=%-2d F1(beta=1) %.4f >= F1(beta=10) %.4f  -> %s\n", alphas[a], fresh,
+                  stale, fresh >= stale ? "OK" : "MISMATCH");
+    }
   }
-
-  std::printf("\nPaper shape check: for each model and alpha, F1(beta=1) >= F1(beta=10).\n");
   return 0;
 }

@@ -86,11 +86,17 @@ std::vector<Label> Framework::predict_batch(const ModelSnapshot& snapshot,
                                             std::span<const JobRecord> jobs,
                                             ShardedEmbeddingCache* text_cache) const {
   if (jobs.empty()) return {};
-  // encode_batch_cached opens its own kCacheLookup/kEncode spans.
-  const FeatureMatrix x =
-      encoder_.encode_batch_cached(jobs, text_cache != nullptr ? *text_cache : cache_, pool_);
+  // encode_distinct_cached opens its own kCacheLookup/kEncode spans.
+  const FeatureEncoder::DistinctRows x =
+      encoder_.encode_distinct_cached(jobs, text_cache != nullptr ? *text_cache : cache_, pool_);
   obs::Span classify_span(obs::Stage::kClassify);
-  return snapshot.model.inference(x.view(), pool_);
+  // Inference is per row and deterministic, so one label per distinct
+  // feature string, copied to every job that shares it, is the label
+  // each job would get on its own.
+  const std::vector<Label> distinct = snapshot.model.inference(x.rows.view(), pool_);
+  std::vector<Label> labels(jobs.size());
+  for (std::size_t i = 0; i < jobs.size(); ++i) labels[i] = distinct[x.slot[i]];
+  return labels;
 }
 
 InferenceReport Framework::predict_range(TimePoint start, TimePoint end) const {

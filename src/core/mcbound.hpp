@@ -93,11 +93,13 @@ class Framework {
   /// Inference Workflow for one not-yet-executed job.
   std::optional<Boundedness> predict_job(const JobRecord& job) const;
 
-  /// Batched Inference Workflow (serving fast path): encode all jobs
-  /// through the canonical-text LRU cache — the framework's own unless
-  /// `text_cache` names another — and classify them in a single pool
-  /// dispatch over the batched model kernels. Returns an empty vector
-  /// when no model is trained.
+  /// Batched Inference Workflow (serving fast path): group the jobs by
+  /// feature string, encode each distinct string once through the
+  /// canonical-text LRU cache — the framework's own unless `text_cache`
+  /// names another — classify the distinct rows in a single pool
+  /// dispatch over the batched model kernels, and give each job the
+  /// label of its string (paper §V-C: Fugaku jobs arrive in batches of
+  /// identical jobs). Returns an empty vector when no model is trained.
   std::vector<Label> predict_batch(std::span<const JobRecord> jobs,
                                    ShardedEmbeddingCache* text_cache = nullptr) const;
 

@@ -429,7 +429,9 @@ void ApiServer::collect_app_metrics(std::vector<obs::MetricFamily>& out) const {
   {
     obs::MetricFamily ops;
     ops.name = "mcb_embedding_cache_ops_total";
-    ops.help = "Embedding-cache operations by kind.";
+    ops.help =
+        "Embedding-cache operations by kind; hit + miss is one lookup per distinct feature "
+        "string per encoded batch.";
     ops.type = obs::MetricType::kCounter;
     const ShardedEmbeddingCache& cache = framework_.embedding_cache();
     const auto stats = cache.stats();

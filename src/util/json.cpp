@@ -198,7 +198,11 @@ std::int64_t json_number_as_int(const JsonNumber& number) noexcept {
   if (const auto* u = std::get_if<std::uint64_t>(&number)) {
     return std::in_range<std::int64_t>(*u) ? static_cast<std::int64_t>(*u) : INT64_MAX;
   }
-  return static_cast<std::int64_t>(std::llround(std::get<double>(number)));
+  // llround is unspecified past int64_t; saturate there as above.
+  const double value = std::get<double>(number);
+  if (value >= 0x1p63) return INT64_MAX;
+  if (value <= -0x1p63) return INT64_MIN;
+  return static_cast<std::int64_t>(std::llround(value));
 }
 
 // ------------------------------------------------------------- JsonReader

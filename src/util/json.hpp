@@ -39,7 +39,8 @@ using JsonNumber = std::variant<std::int64_t, std::uint64_t, double>;
 /// `number` as a double (an integer converts to the nearest double).
 double json_number_as_double(const JsonNumber& number) noexcept;
 /// `number` as an int64_t: exact for an int64_t, INT64_MAX above it,
-/// llround for a double.
+/// llround for a double, saturated to INT64_MIN or INT64_MAX at or
+/// beyond -2^63 and 2^63 (infinities included).
 std::int64_t json_number_as_int(const JsonNumber& number) noexcept;
 
 class Json {

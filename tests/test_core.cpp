@@ -4,15 +4,18 @@
 // JSON config and the Framework facade.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <thread>
 
 #include "core/config.hpp"
 #include "core/mcbound.hpp"
 #include "core/online_evaluator.hpp"
 #include "core/workflows.hpp"
+#include "util/thread_pool.hpp"
 #include "workload/generator.hpp"
 
 namespace mcb {
@@ -32,6 +35,13 @@ JobRecord submission(std::uint64_t id, const std::string& user, const std::strin
   job.frequency = freq;
   job.nodes_allocated = nodes;
   return job;
+}
+
+/// `prefix` followed by `n`, e.g. "app_3".
+std::string numbered(const char* prefix, std::uint64_t n) {
+  std::string out(prefix);
+  out += std::to_string(n);
+  return out;
 }
 
 /// Executed job with counters that make it memory- or compute-bound.
@@ -154,6 +164,49 @@ TEST(CachedEncoding, WindowWiderThanCapacityStaysBounded) {
   }
 }
 
+TEST(CachedEncoding, ColdBatchEncodesEachDistinctStringOnce) {
+  const FeatureEncoder encoder;
+  ShardedEmbeddingCache cache(encoder.dim());
+  // Three texts over nine jobs: repeats under new ids, job_id 0 three times.
+  std::vector<JobRecord> jobs;
+  for (std::uint64_t i = 0; i < 9; ++i) {
+    jobs.push_back(submission(i % 4 == 0 ? 0 : i, numbered("u", i % 3), numbered("app_", i % 3)));
+  }
+  std::set<std::string> distinct;
+  for (const JobRecord& job : jobs) distinct.insert(encoder.feature_string(job));
+  ASSERT_EQ(distinct.size(), 3U);
+
+  const FeatureMatrix fresh = encoder.encode_batch(jobs);
+  std::size_t misses = 0;
+  EXPECT_EQ(encoder.encode_batch_cached(jobs, cache, nullptr, &misses).storage(),
+            fresh.storage());
+  EXPECT_EQ(misses, distinct.size());
+  EXPECT_EQ(cache.stats().misses, distinct.size());
+  EXPECT_EQ(cache.stats().hits, 0U);
+  // Warm: one lookup, and one hit, per distinct string.
+  EXPECT_EQ(encoder.encode_batch_cached(jobs, cache, nullptr, &misses).storage(),
+            fresh.storage());
+  EXPECT_EQ(misses, 0U);
+  EXPECT_EQ(cache.stats().hits, distinct.size());
+}
+
+TEST(CachedEncoding, DistinctRowsMapEveryJobToItsRow) {
+  const FeatureEncoder encoder;
+  ShardedEmbeddingCache cache(encoder.dim());
+  std::vector<JobRecord> jobs{submission(5, "u1", "x"), submission(6, "u2", "y"),
+                              submission(7, "u1", "x"), submission(0, "u3", "z"),
+                              submission(0, "u2", "y")};
+  const FeatureMatrix fresh = encoder.encode_batch(jobs);
+  const FeatureEncoder::DistinctRows x = encoder.encode_distinct_cached(jobs, cache);
+  EXPECT_EQ(cache.stats().misses, 3U);
+  ASSERT_EQ(x.rows.rows(), 3U);
+  EXPECT_EQ(x.slot, (std::vector<std::size_t>{0, 1, 0, 2, 1}));
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    const auto row = x.rows.row(x.slot[i]);
+    EXPECT_TRUE(std::equal(row.begin(), row.end(), fresh.row(i).begin())) << i;
+  }
+}
+
 // ------------------------------------------------- classification model
 
 TEST(ClassificationModel, KindParsing) {
@@ -261,7 +314,10 @@ TEST_F(WorkflowTest, TrainingWorkflowProducesWorkingModel) {
   EXPECT_EQ(report.jobs_used, 80U);
   EXPECT_EQ(report.uncharacterizable, 0U);
   EXPECT_TRUE(model.is_trained());
-  EXPECT_EQ(report.cache_misses, 80U);
+  // Two distinct feature strings (stream_app by u00001, dgemm_app by
+  // u00002): each is encoded once, and the other 78 rows are copies.
+  EXPECT_EQ(report.cache_misses, 2U);
+  EXPECT_EQ(report.cache_hits, 78U);
 
   // Inference on fresh submissions of the two app families.
   const InferenceWorkflow inference(fetcher, encoder_, &cache);
@@ -661,13 +717,6 @@ TEST(Framework, TrainPredictAndRegistryLifecycle) {
   fs::remove_all(registry_dir);
 }
 
-/// `prefix` followed by `n`, e.g. "app_3".
-std::string numbered(const char* prefix, std::uint64_t n) {
-  std::string out(prefix);
-  out += std::to_string(n);
-  return out;
-}
-
 TEST(Framework, WarmRestartLoadsNewestVersionWithConfiguredModel) {
   const std::string registry_dir =
       (fs::temp_directory_path() / "mcb_framework_warm").string();
@@ -822,6 +871,87 @@ TEST(Framework, TrainingCountsOnlyItsOwnCacheLookups) {
   const FeatureMatrix x = framework.encoder().encode_batch(held_out);
   EXPECT_EQ(framework.predict_batch(held_out), reference.inference(x.view()));
   fs::remove_all(registry_dir);
+}
+
+/// Trains a `kind` framework on a synthetic trace, then checks that
+/// predict_batch, which classifies one row per distinct feature string,
+/// labels each batch exactly as per-row inference over encode_batch.
+void expect_batches_label_as_per_row_inference(ModelKind kind, ThreadPool* pool) {
+  const std::string registry_dir =
+      (fs::temp_directory_path() / ("mcb_framework_distinct_" + std::string(model_kind_name(kind))))
+          .string();
+  fs::remove_all(registry_dir);
+  const WorkloadConfig workload = scaled_workload_config(60, 5);
+  JobStore store;
+  store.insert_all(WorkloadGenerator(workload).generate());
+  FrameworkConfig config;
+  config.registry_dir = registry_dir;
+  config.model = kind;
+  config.forest.n_trees = 20;
+  config.forest.tree.max_features = 48;  // as `mcbound serve` configures RF
+  Framework framework(config, store, pool);
+  const TimePoint t = workload.start_time + 40 * kSecondsPerDay;
+  ASSERT_TRUE(framework.train_now(t).version.has_value());
+  const auto snapshot = framework.snapshot();
+
+  // Submissions after the window, in trace order: recurring texts.
+  JobQuery q;
+  q.field = JobQuery::TimeField::kSubmitTime;
+  q.start_time = t;
+  q.end_time = t + 10 * kSecondsPerDay;
+  std::vector<JobRecord> repeated;
+  for (const JobRecord* job : store.query(q)) repeated.push_back(*job);
+  std::vector<JobRecord> all_distinct;
+  std::set<std::string> seen;
+  for (const JobRecord& job : repeated) {
+    if (seen.insert(framework.encoder().feature_string(job)).second) all_distinct.push_back(job);
+  }
+  ASSERT_LT(all_distinct.size(), repeated.size());
+  ASSERT_GE(all_distinct.size(), 4U);
+  // Different texts, all job_id 0.
+  std::vector<JobRecord> anonymous = all_distinct;
+  for (JobRecord& job : anonymous) job.job_id = 0;
+  // One text under eight new ids, interleaved with another under four.
+  std::vector<JobRecord> one_text_many_ids;
+  for (std::uint64_t i = 0; i < 12; ++i) {
+    JobRecord job = all_distinct[i % 3 == 2 ? 1 : 0];
+    job.job_id = 90'000 + i;
+    one_text_many_ids.push_back(std::move(job));
+  }
+  const std::vector<JobRecord> one_job{repeated.back()};
+
+  const std::pair<const char*, const std::vector<JobRecord>*> batches[] = {
+      {"repeated strings", &repeated},
+      {"job_id 0, different texts", &anonymous},
+      {"one text, several ids", &one_text_many_ids},
+      {"all distinct", &all_distinct},
+      {"one job", &one_job},
+  };
+  for (const auto& [what, jobs] : batches) {
+    const FeatureMatrix x = framework.encoder().encode_batch(*jobs, pool);
+    const std::vector<Label> expected = snapshot->model.inference(x.view());
+    // Through the framework's cache (warmed by training), then through a
+    // cold one.
+    EXPECT_EQ(framework.predict_batch(*snapshot, *jobs), expected) << what;
+    ShardedEmbeddingCache cold(framework.encoder().dim());
+    EXPECT_EQ(framework.predict_batch(*snapshot, *jobs, &cold), expected) << what;
+  }
+  // The labels differ from job to job, so a job given another's row or
+  // label would show.
+  const FeatureMatrix x = framework.encoder().encode_batch(repeated);
+  const std::vector<Label> labels = snapshot->model.inference(x.view());
+  EXPECT_NE(std::count(labels.begin(), labels.end(), kLabelMemoryBound), 0);
+  EXPECT_NE(std::count(labels.begin(), labels.end(), kLabelComputeBound), 0);
+  fs::remove_all(registry_dir);
+}
+
+TEST(DistinctBatching, KnnLabelsEqualPerRowInference) {
+  expect_batches_label_as_per_row_inference(ModelKind::kKnn, nullptr);
+}
+
+TEST(DistinctBatching, RfLabelsEqualPerRowInference) {
+  ThreadPool pool(2);
+  expect_batches_label_as_per_row_inference(ModelKind::kRandomForest, &pool);
 }
 
 }  // namespace

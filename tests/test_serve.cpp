@@ -19,6 +19,7 @@
 #include <future>
 #include <limits>
 #include <map>
+#include <set>
 #include <thread>
 #include <tuple>
 
@@ -892,6 +893,23 @@ TEST(JobJson, DefaultsAndValidation) {
     EXPECT_FALSE(job_from_json(*Json::parse(body), &error).has_value()) << body;
     EXPECT_EQ(error, "job_id is out of range") << body;
   }
+  // frequency_mhz has no range check, so a value past int64_t reads as
+  // its sign says: huge is boost, hugely negative is normal, in both
+  // decoders.
+  const std::pair<const char*, FrequencyMode> frequencies[] = {
+      {R"({"job_name":"x","frequency_mhz":1e19})", FrequencyMode::kBoost},
+      {R"({"job_name":"x","frequency_mhz":1e18})", FrequencyMode::kBoost},
+      {R"({"job_name":"x","frequency_mhz":2200})", FrequencyMode::kBoost},
+      {R"({"job_name":"x","frequency_mhz":-1e19})", FrequencyMode::kNormal},
+  };
+  for (const auto& [body, mode] : frequencies) {
+    const auto dom = job_from_json(*Json::parse(body), &error);
+    ASSERT_TRUE(dom.has_value()) << error;
+    EXPECT_EQ(dom->frequency, mode) << body;
+    const auto pass = decode_job_body(body, &error);
+    ASSERT_TRUE(pass.has_value()) << error;
+    EXPECT_EQ(pass->frequency, mode) << body;
+  }
   // The existing checks keep their messages.
   const std::pair<const char*, const char*> messages[] = {
       {R"({})", "missing job_name"},
@@ -1207,15 +1225,22 @@ TEST_F(ApiTest, ClassifyBatchFlow) {
   EXPECT_EQ(labels[1].as_string(), "compute-bound");
   EXPECT_EQ(labels[2].as_string(), "memory-bound");
 
-  // /train encodes through the same cache: its 60 lookups all missed
-  // (they run before the miss-encoding pass, on an empty cache) and left
-  // the two distinct canonical strings cached, so both batches are pure
-  // embedding-cache hits; the app metrics section must reflect that.
+  // /train encodes through the same cache, one lookup per distinct
+  // feature string: the store's 60 jobs share two strings, both missed
+  // on the empty cache and were cached. Each batch then looks its two
+  // distinct strings up once, so both batches are pure embedding-cache
+  // hits (2 + 2); the app metrics section must reflect that.
+  std::set<std::string> trained;
+  for (const JobRecord& job : store_.all()) {
+    trained.insert(framework_->encoder().feature_string(job));
+  }
+  ASSERT_EQ(trained.size(), 2U);
   EXPECT_EQ(call("POST", "/classify_batch", batch).status, 200);
   const auto metrics = Json::parse(call("GET", "/metrics").body);
   ASSERT_TRUE(metrics.has_value());
-  EXPECT_EQ(metric_value(*metrics, "mcb_embedding_cache_ops_total", {{"op", "hit"}}), 6.0);
-  EXPECT_EQ(metric_value(*metrics, "mcb_embedding_cache_ops_total", {{"op", "miss"}}), 60.0);
+  EXPECT_EQ(metric_value(*metrics, "mcb_embedding_cache_ops_total", {{"op", "hit"}}), 4.0);
+  EXPECT_EQ(metric_value(*metrics, "mcb_embedding_cache_ops_total", {{"op", "miss"}}),
+            static_cast<double>(trained.size()));
   EXPECT_EQ(metric_value(*metrics, "mcb_embedding_cache_entries", {{"kind", "current"}}), 2.0);
   EXPECT_EQ(route_class(*metrics, "POST /classify_batch", "2xx"), 2.0);
   EXPECT_EQ(metric_value(*metrics, "mcb_classify_batch_jobs_total"), 6.0);

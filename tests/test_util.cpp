@@ -492,6 +492,17 @@ TEST(Json, IntegersStayExact) {
   EXPECT_DOUBLE_EQ(Json::parse("1e20")->as_double(), 1e20);
   EXPECT_EQ(Json::parse("1e400")->as_double(), HUGE_VAL);
   EXPECT_EQ(Json::parse("1e400")->dump(), "null");
+  // A double past int64_t saturates, as an integer past it does; it
+  // never wraps to the other sign.
+  EXPECT_EQ(Json::parse("1e19")->as_int(), INT64_MAX);
+  EXPECT_EQ(Json::parse("-1e19")->as_int(), INT64_MIN);
+  EXPECT_EQ(Json(0x1p63).as_int(), INT64_MAX);
+  EXPECT_EQ(Json(-0x1p63).as_int(), INT64_MIN);
+  EXPECT_EQ(Json::parse("9.223372036854775808e18")->as_int(), INT64_MAX);
+  EXPECT_EQ(Json::parse("-9.223372036854775808e18")->as_int(), INT64_MIN);
+  EXPECT_EQ(Json::parse("1e400")->as_int(), INT64_MAX);
+  EXPECT_EQ(Json::parse("-1e400")->as_int(), INT64_MIN);
+  EXPECT_EQ(Json::parse("9.2e18")->as_int(), 9'200'000'000'000'000'000);
   EXPECT_EQ(Json::parse("-0")->dump(), "0");
   EXPECT_EQ(Json::parse("007")->as_int(), 7);
   // Numbers compare by value, whatever their representation.

@@ -4,7 +4,8 @@
 //   mcbound generate      synthesize a Fugaku-like trace to CSV
 //   mcbound characterize  Roofline analysis of a trace (2- or 3-class)
 //   mcbound evaluate      run the online prediction algorithm evaluation
-//   mcbound serve         start the HTTP API over a trace
+//   mcbound serve         start the HTTP API over a trace, serving the
+//                         newest model saved in --registry if there is one
 //
 // Examples:
 //   mcbound generate --out trace.csv --jobs-per-day 500
@@ -39,6 +40,7 @@ constexpr const char* kUsage =
     "  evaluate     --trace FILE [--model knn|rf] [--alpha A] [--beta B]\n"
     "               [--theta N --sampling latest|random]\n"
     "  serve        --trace FILE [--port P] [--alpha A] [--model knn|rf]\n"
+    "               [--registry DIR]\n"
     "               [--http-threads N] [--http-queue N] [--timeout-ms MS]\n"
     "               [--drain-ms MS] [--http-backlog N] [--max-conns N]\n"
     "               [--perf auto|off]\n"
@@ -219,6 +221,16 @@ int cmd_serve(const CliFlags& flags) {
   const std::uint64_t nofile = raise_nofile_limit(server.max_connections + 256);
 
   static Framework framework(config, store);
+  // Warm restart: serve the newest model the registry holds, so a
+  // restarted server answers /predict and /readyz without a /train.
+  if (framework.load_latest_model()) {
+    log::info("serve", "loaded model",
+              {{"model", framework.model_name()},
+               {"version", static_cast<std::uint64_t>(*framework.model_version())},
+               {"registry", config.registry_dir}});
+  } else {
+    log::info("serve", "registry holds no loadable model", {{"registry", config.registry_dir}});
+  }
   static ApiServer api(framework, server);
   const int port = static_cast<int>(flags.get_int("port", 8080));
   if (!api.start(port)) {
@@ -237,7 +249,7 @@ int cmd_serve(const CliFlags& flags) {
               "collapsed stacks\n",
               api.tracer().counters_attached() ? "attached" : "unavailable (latency-only)",
               perf_mode.c_str());
-  std::printf("POST /train to build the first model version; GET /metrics for\n"
+  std::printf("POST /train to build a new model version; GET /metrics for\n"
               "server-side counters and latency (add ?format=prometheus for the\n"
               "text exposition); GET /healthz, /readyz, /debug/requests for\n"
               "probes and the flight recorder; Ctrl-C to stop.\n");
